@@ -46,7 +46,12 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(realMain()) }
+
+// realMain runs the command and returns its exit status. Keeping the body
+// out of main lets the deferred profile writers run on every path,
+// failures included, before the process exits.
+func realMain() int {
 	var (
 		fig     = flag.String("fig", "all", "figure to regenerate (2a 2b 4a 4b 5a 5b 6a 6b 8 10 11 12 13 lessons extnn extread policy resilience chaos scale hierscale all)")
 		reps    = flag.Int("reps", 100, "repetitions per experiment (paper: 100)")
@@ -65,16 +70,18 @@ func main() {
 		linger  = flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run finishes")
 	)
 	flag.Parse()
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		return 1
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -105,8 +112,7 @@ func main() {
 	if *serve != "" {
 		s, err := obs.Serve(pl, *serve)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		srv = s
 		fmt.Fprintf(os.Stderr, "figures: serving /metrics and /runs on http://%s\n", srv.Addr())
@@ -124,64 +130,66 @@ func main() {
 	if *memProf != "" {
 		f, merr := os.Create(*memProf)
 		if merr != nil {
-			fmt.Fprintln(os.Stderr, "figures:", merr)
-			os.Exit(1)
+			return fail(merr)
 		}
+		defer f.Close()
 		runtime.GC() // materialize the final live set
 		if merr := pprof.WriteHeapProfile(f); merr != nil {
-			fmt.Fprintln(os.Stderr, "figures:", merr)
-			os.Exit(1)
+			return fail(merr)
 		}
-		f.Close()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		return fail(err)
 	}
+	return 0
 }
 
+type figure struct {
+	name string
+	fn   func(*memo, string) error
+}
+
+// figures is the dispatch table, in -fig all order. "13" renders the same
+// output as "12" (Fig 13 is derived from the Fig 12 campaign), so -fig
+// all skips it.
+var figures = []figure{
+	{"2a", fig2(cluster.Scenario1Ethernet)},
+	{"2b", fig2(cluster.Scenario2Omnipath)},
+	{"4a", fig4(cluster.Scenario1Ethernet)},
+	{"4b", fig4(cluster.Scenario2Omnipath)},
+	{"5a", fig5(cluster.Scenario1Ethernet)},
+	{"5b", fig5(cluster.Scenario2Omnipath)},
+	{"6a", fig6(cluster.Scenario1Ethernet)},
+	{"6b", fig6(cluster.Scenario2Omnipath)},
+	{"8", fig8or10(cluster.Scenario1Ethernet)},
+	{"10", fig8or10(cluster.Scenario2Omnipath)},
+	{"11", fig11},
+	{"12", fig12and13},
+	{"13", fig12and13},
+	{"lessons", lessons},
+	{"extnn", extNN},
+	{"extread", extRead},
+	{"policy", policy},
+	{"resilience", resilience},
+	{"chaos", chaos},
+	{"scale", scale},
+	{"hierscale", hierscale},
+}
+
+// run renders one figure (or, for "all", every figure in order) into
+// outDir. The campaigns several figures share are simulated once per call
+// (see memo).
 func run(fig string, opts experiments.Options, outDir string) error {
 	all := fig == "all"
+	m := newMemo(opts)
 	did := false
-	for _, f := range []struct {
-		name string
-		fn   func(experiments.Options, string) error
-	}{
-		{"2a", fig2(cluster.Scenario1Ethernet)},
-		{"2b", fig2(cluster.Scenario2Omnipath)},
-		{"4a", fig4(cluster.Scenario1Ethernet)},
-		{"4b", fig4(cluster.Scenario2Omnipath)},
-		{"5a", fig5(cluster.Scenario1Ethernet)},
-		{"5b", fig5(cluster.Scenario2Omnipath)},
-		{"6a", fig6(cluster.Scenario1Ethernet)},
-		{"6b", fig6(cluster.Scenario2Omnipath)},
-		{"8", fig8or10(cluster.Scenario1Ethernet)},
-		{"10", fig8or10(cluster.Scenario2Omnipath)},
-		{"11", fig11},
-		{"12", fig12and13},
-		{"13", fig12and13},
-		{"lessons", lessons},
-		{"extnn", extNN},
-		{"extread", extRead},
-		{"policy", policy},
-		{"resilience", resilience},
-		{"chaos", chaos},
-		{"scale", scale},
-		{"hierscale", hierscale},
-	} {
-		if !all && fig != f.name {
+	for _, f := range figures {
+		if all && f.name == "13" || !all && f.name != fig {
 			continue
 		}
 		did = true
-		if err := f.fn(opts, outDir); err != nil {
+		if err := f.fn(m, outDir); err != nil {
 			return fmt.Errorf("fig %s: %w", f.name, err)
-		}
-		if f.name == "12" && (all || fig == "12") {
-			// fig12and13 covers 13 too; skip the duplicate entry.
-			fig13done = true
-		}
-		if !all {
-			break
 		}
 	}
 	if !did {
@@ -189,8 +197,6 @@ func run(fig string, opts experiments.Options, outDir string) error {
 	}
 	return nil
 }
-
-var fig13done bool
 
 // closeObservability writes every configured sink's final state (the
 // pipeline renders the same snapshot into each) and prints the
@@ -228,9 +234,9 @@ func scenarioTag(s cluster.Scenario) string {
 	return "scenario2"
 }
 
-func fig2(s cluster.Scenario) func(experiments.Options, string) error {
-	return func(opts experiments.Options, outDir string) error {
-		pts, err := experiments.Fig2(s, opts)
+func fig2(s cluster.Scenario) func(*memo, string) error {
+	return func(m *memo, outDir string) error {
+		pts, err := experiments.Fig2(s, m.opts)
 		if err != nil {
 			return err
 		}
@@ -244,9 +250,9 @@ func fig2(s cluster.Scenario) func(experiments.Options, string) error {
 	}
 }
 
-func fig4(s cluster.Scenario) func(experiments.Options, string) error {
-	return func(opts experiments.Options, outDir string) error {
-		pts, err := experiments.Fig4(s, opts)
+func fig4(s cluster.Scenario) func(*memo, string) error {
+	return func(m *memo, outDir string) error {
+		pts, err := m.fig4(s)
 		if err != nil {
 			return err
 		}
@@ -268,9 +274,9 @@ func fig4(s cluster.Scenario) func(experiments.Options, string) error {
 	}
 }
 
-func fig5(s cluster.Scenario) func(experiments.Options, string) error {
-	return func(opts experiments.Options, outDir string) error {
-		series, err := experiments.Fig5(s, opts)
+func fig5(s cluster.Scenario) func(*memo, string) error {
+	return func(m *memo, outDir string) error {
+		series, err := m.fig5(s)
 		if err != nil {
 			return err
 		}
@@ -286,9 +292,9 @@ func fig5(s cluster.Scenario) func(experiments.Options, string) error {
 	}
 }
 
-func fig6(s cluster.Scenario) func(experiments.Options, string) error {
-	return func(opts experiments.Options, outDir string) error {
-		pts, err := experiments.Fig6(s, opts)
+func fig6(s cluster.Scenario) func(*memo, string) error {
+	return func(m *memo, outDir string) error {
+		pts, err := m.fig6(s)
 		if err != nil {
 			return err
 		}
@@ -312,19 +318,19 @@ func fig6(s cluster.Scenario) func(experiments.Options, string) error {
 	}
 }
 
-func fig8or10(s cluster.Scenario) func(experiments.Options, string) error {
-	return func(opts experiments.Options, outDir string) error {
-		var boxes []experiments.AllocBox
-		var err error
-		name := "fig8"
-		title := "Figure 8 (scenario1): boxplots by (min,max) OST allocation"
+func fig8or10(s cluster.Scenario) func(*memo, string) error {
+	return func(m *memo, outDir string) error {
+		name, fig := "fig8", "Figure 8"
 		if s == cluster.Scenario2Omnipath {
-			boxes, err = experiments.Fig10(opts)
-			name = "fig10"
-			title = "Figure 10 (scenario2): boxplots by (min,max) OST allocation"
-		} else {
-			boxes, err = experiments.Fig8(opts)
+			name, fig = "fig10", "Figure 10"
 		}
+		title := fmt.Sprintf("%s (%s): boxplots by (min,max) OST allocation", fig, scenarioTag(s))
+		// The paper's Figs 8/10 are the Fig 6 executions regrouped.
+		pts, err := m.fig6(s)
+		if err != nil {
+			return err
+		}
+		boxes, err := experiments.GroupByAllocation(pts)
 		if err != nil {
 			return err
 		}
@@ -350,8 +356,8 @@ func fig8or10(s cluster.Scenario) func(experiments.Options, string) error {
 	}
 }
 
-func fig11(opts experiments.Options, outDir string) error {
-	cells, err := experiments.Fig11(opts)
+func fig11(m *memo, outDir string) error {
+	cells, err := experiments.Fig11(m.opts)
 	if err != nil {
 		return err
 	}
@@ -364,27 +370,24 @@ func fig11(opts experiments.Options, outDir string) error {
 	return emit(t, outDir, "fig11")
 }
 
-func fig12and13(opts experiments.Options, outDir string) error {
-	if fig13done {
-		return nil
-	}
-	rows, err := experiments.Fig12(opts)
+func fig12and13(m *memo, outDir string) error {
+	f12, err := m.fig12()
 	if err != nil {
 		return err
 	}
 	t := report.NewTable(
 		"Figure 12: concurrent applications vs single-application baselines (scenario 2)",
 		"apps", "count", "individual_mean", "solo_mean", "aggregate_mean", "equivalent_single_mean")
-	for _, r := range rows {
+	for _, r := range f12.rows {
 		t.AddRow(r.Apps, r.Count, r.IndividualMean, r.SoloMean, r.AggregateMean, r.EquivalentSingleMean)
 	}
 	if err := emit(t, outDir, "fig12"); err != nil {
 		return err
 	}
-	res, err := experiments.Fig13(rows)
-	if err != nil {
-		return err
+	if f12.err13 != nil {
+		return f12.err13
 	}
+	res := f12.res13
 	t13 := report.NewTable(
 		"Figure 13: 2 apps x 4 OSTs, share-all vs share-none (paper: Welch p = 0.9031)",
 		"group", "n", "mean_mibs", "sd", "ks_normality_p")
@@ -400,27 +403,28 @@ func fig12and13(opts experiments.Options, outDir string) error {
 	return nil
 }
 
-func lessons(opts experiments.Options, outDir string) error {
-	// Gather the minimal campaigns needed to evaluate all seven lessons.
-	fmt.Println("Evaluating the paper's seven lessons against fresh simulated campaigns...")
-	s1, err := experiments.Fig4(cluster.Scenario1Ethernet, opts)
+func lessons(m *memo, outDir string) error {
+	// The seven lessons read the Fig 4, 5b, 6 and 12/13 campaigns; under
+	// -fig all they were already simulated for those figures.
+	fmt.Println("Evaluating the paper's seven lessons against the simulated campaigns...")
+	s1, err := m.fig4(cluster.Scenario1Ethernet)
 	if err != nil {
 		return err
 	}
-	s2, err := experiments.Fig4(cluster.Scenario2Omnipath, opts)
+	s2, err := m.fig4(cluster.Scenario2Omnipath)
 	if err != nil {
 		return err
 	}
 	toMap := func(pts []experiments.SweepPoint) map[int]float64 {
-		m := make(map[int]float64)
+		means := make(map[int]float64)
 		for _, p := range pts {
-			m[int(p.X)] = p.Summary.Mean
+			means[int(p.X)] = p.Summary.Mean
 		}
-		return m
+		return means
 	}
 	byNodes1, byNodes2 := toMap(s1), toMap(s2)
 
-	f5, err := experiments.Fig5(cluster.Scenario2Omnipath, opts)
+	f5, err := m.fig5(cluster.Scenario2Omnipath)
 	if err != nil {
 		return err
 	}
@@ -428,7 +432,7 @@ func lessons(opts experiments.Options, outDir string) error {
 	ratioPpn := f5[1].Points[1].Summary.Mean / f5[0].Points[1].Summary.Mean
 	ratioNodes := f5[0].Points[2].Summary.Mean / f5[0].Points[1].Summary.Mean
 
-	pts6a, err := experiments.Fig6(cluster.Scenario1Ethernet, opts)
+	pts6a, err := m.fig6(cluster.Scenario1Ethernet)
 	if err != nil {
 		return err
 	}
@@ -437,14 +441,13 @@ func lessons(opts experiments.Options, outDir string) error {
 	byCount := map[int][]float64{}
 	for _, pt := range pts6a {
 		byCount[pt.Count] = pt.Samples
-		for _, rec := range pt.Records {
-			a := rec.Alloc()
-			byAlloc[a.Key()] = append(byAlloc[a.Key()], rec.Bandwidth())
+		for i, a := range pt.Allocs {
+			byAlloc[a.Key()] = append(byAlloc[a.Key()], pt.Samples[i])
 			allocs[a.Key()] = a
 		}
 	}
 
-	pts6b, err := experiments.Fig6(cluster.Scenario2Omnipath, opts)
+	pts6b, err := m.fig6(cluster.Scenario2Omnipath)
 	if err != nil {
 		return err
 	}
@@ -466,14 +469,14 @@ func lessons(opts experiments.Options, outDir string) error {
 		}
 	}
 
-	rows12, err := experiments.Fig12(opts)
+	f12, err := m.fig12()
 	if err != nil {
 		return err
 	}
-	res13, err := experiments.Fig13(rows12)
-	if err != nil {
-		return err
+	if f12.err13 != nil {
+		return f12.err13
 	}
+	res13 := f12.res13
 
 	verdicts := []core.Verdict{
 		core.Lesson1(byNodes1, byNodes2),
@@ -503,7 +506,8 @@ single application — does hold (Figure 12).`))
 	return nil
 }
 
-func extNN(opts experiments.Options, outDir string) error {
+func extNN(m *memo, outDir string) error {
+	opts := m.opts
 	// The full-repetition campaign is expensive for this 12-cell matrix;
 	// cap at 20 reps per cell unless fewer were requested.
 	if opts.Reps > 20 {
@@ -527,8 +531,8 @@ func extNN(opts experiments.Options, outDir string) error {
 	return nil
 }
 
-func extRead(opts experiments.Options, outDir string) error {
-	rows, err := experiments.ExtRead(opts)
+func extRead(m *memo, outDir string) error {
+	rows, err := experiments.ExtRead(m.opts)
 	if err != nil {
 		return err
 	}
@@ -546,7 +550,8 @@ func extRead(opts experiments.Options, outDir string) error {
 	return nil
 }
 
-func resilience(opts experiments.Options, outDir string) error {
+func resilience(m *memo, outDir string) error {
+	opts := m.opts
 	// 2 scenarios x 4 fault schemes: cap at 20 reps per cell unless fewer
 	// were requested.
 	if opts.Reps > 20 {
@@ -571,7 +576,8 @@ func resilience(opts experiments.Options, outDir string) error {
 	return nil
 }
 
-func chaos(opts experiments.Options, outDir string) error {
+func chaos(m *memo, outDir string) error {
+	opts := m.opts
 	// 2 scenarios x 3 chaos profiles, each repetition draining a full
 	// invariant audit: cap at 20 reps per cell unless fewer were requested.
 	if opts.Reps > 20 {
@@ -597,7 +603,8 @@ func chaos(opts experiments.Options, outDir string) error {
 	return nil
 }
 
-func scale(opts experiments.Options, outDir string) error {
+func scale(m *memo, outDir string) error {
+	opts := m.opts
 	// Each repetition adds a dozen-plus churn jobs per cell; 40 reps
 	// already means thousands of jobs on the large fabric.
 	if opts.Reps > 40 {
@@ -632,7 +639,8 @@ func scale(opts experiments.Options, outDir string) error {
 	return nil
 }
 
-func hierscale(opts experiments.Options, outDir string) error {
+func hierscale(m *memo, outDir string) error {
+	opts := m.opts
 	if opts.Reps > 40 {
 		opts.Reps = 40
 	}
@@ -664,13 +672,13 @@ func hierscale(opts experiments.Options, outDir string) error {
 	return nil
 }
 
-func policy(opts experiments.Options, outDir string) error {
+func policy(m *memo, outDir string) error {
 	t := report.NewTable(
 		"Extension: 'always max stripe count' vs adaptive per-app counts (scenario 2)",
 		"apps", "max_count_aggregate", "adapted_aggregate", "max_gain_%")
 	for _, apps := range []int{2, 4} {
-		o := opts
-		o.Seed = opts.Seed + uint64(apps)
+		o := m.opts
+		o.Seed = m.opts.Seed + uint64(apps)
 		if o.Reps > 25 {
 			o.Reps = 25
 		}

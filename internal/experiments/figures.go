@@ -174,14 +174,15 @@ func Fig5(scenario cluster.Scenario, opts Options) ([]Fig5Series, error) {
 	return out, nil
 }
 
-// CountPoint is one stripe count of Figure 6, keeping the full records so
-// Figures 8/10 can regroup them by allocation.
+// CountPoint is one stripe count of Figure 6. Allocs[i] is the (min,max)
+// allocation sample i ran on, so Figures 8/10 can regroup the samples by
+// allocation without keeping the full records.
 type CountPoint struct {
 	Count   int
 	Samples []float64
+	Allocs  []core.Allocation
 	Summary stats.Summary
 	Bimodal bool
-	Records []Record
 }
 
 // Fig6 regenerates Figure 6: bandwidth for stripe counts 1-8 (scenario 1:
@@ -212,12 +213,16 @@ func Fig6(scenario cluster.Scenario, opts Options) ([]CountPoint, error) {
 		if err != nil {
 			return nil, err
 		}
+		allocs := make([]core.Allocation, len(rs))
+		for i, r := range rs {
+			allocs[i] = r.Alloc()
+		}
 		out = append(out, CountPoint{
 			Count:   count,
 			Samples: samples,
+			Allocs:  allocs,
 			Summary: s,
 			Bimodal: stats.Bimodal(samples),
-			Records: rs,
 		})
 	}
 	return out, nil
@@ -238,9 +243,8 @@ func GroupByAllocation(points []CountPoint) ([]AllocBox, error) {
 	byAlloc := make(map[string][]float64)
 	allocs := make(map[string]core.Allocation)
 	for _, pt := range points {
-		for _, rec := range pt.Records {
-			a := rec.Alloc()
-			byAlloc[a.Key()] = append(byAlloc[a.Key()], rec.Bandwidth())
+		for i, a := range pt.Allocs {
+			byAlloc[a.Key()] = append(byAlloc[a.Key()], pt.Samples[i])
 			allocs[a.Key()] = a
 		}
 	}

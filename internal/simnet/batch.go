@@ -82,22 +82,22 @@ func (n *Network) Batching() int { return n.batchWorkers }
 
 // markDirty queues c for the instant's flush. The first mark of an
 // instant records the triggering event kind (for stats classification)
-// and the removed flow, which the flush uses as its warm-start hint; any
-// further event on the same component clears the hint — the trajectory
-// replay is only valid for exactly one departure.
+// and a copy of the removed flow, which the flush uses as its warm-start
+// hint; any further event on the same component clears the hint — the
+// trajectory replay is only valid for exactly one departure. The copy is
+// what lets the caller re-Start the Flow struct before the flush.
 func (n *Network) markDirty(c *component, removed *Flow, trig SolveTrigger) {
 	if !c.dirty {
 		c.dirty = true
 		c.pendEvents = 0
-		c.pendRemoved = nil
 		c.pendTrig = trig
 		n.dirtyComps = append(n.dirtyComps, c)
 	}
 	c.pendEvents++
-	if c.pendEvents == 1 {
-		c.pendRemoved = removed
+	if c.pendEvents == 1 && removed != nil {
+		c.departed.record(removed, c.traj.valid)
 	} else {
-		c.pendRemoved = nil
+		c.departed.clear()
 	}
 	n.armFlush()
 }
@@ -161,9 +161,8 @@ func (n *Network) flush() {
 		n.flushParallel(comps, now)
 	} else {
 		for _, c := range comps {
-			removed := c.pendRemoved
-			c.pendEvents, c.pendRemoved = 0, nil
-			n.rebalanceComp(c, now, removed, c.pendTrig)
+			c.pendEvents = 0
+			n.rebalanceComp(c, now, c.pendTrig)
 		}
 	}
 	for i := range comps {
@@ -246,15 +245,14 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 					return
 				}
 				c := comps[i]
-				removed := c.pendRemoved
 				var solveStart time.Time
 				if recordStats {
 					solveStart = time.Now()
 				}
 				sv.lastGroups = 0
 				done := false
-				if removed != nil && c.traj.valid {
-					done = sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, removed)
+				if c.departed.f != nil && c.traj.valid {
+					done = sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, &c.departed)
 				}
 				c.traj.valid = false
 				hier := false
@@ -302,12 +300,13 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 	// Serial finish in component-id order: completion events, observers
 	// and stats come out exactly as the serial flush emits them.
 	for i, c := range comps {
-		removed := c.pendRemoved
-		c.pendEvents, c.pendRemoved = 0, nil
+		warm := c.departed.f != nil
+		c.pendEvents = 0
+		c.departed.clear()
 		if n.stats != nil {
 			n.stats.Solves[c.pendTrig]++
 			n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
-			if removed != nil {
+			if warm {
 				if warmDone[i] {
 					n.stats.WarmHits++
 					n.stats.WarmReplayedPasses += uint64(replayed[i])

@@ -228,6 +228,83 @@ func TestBatchedIdleCapacityCadence(t *testing.T) {
 	}
 }
 
+// TestBatchedWarmHintSurvivesFlowReuse pins flow ownership under
+// batching: once OnComplete has run, the Flow struct is its caller's
+// again, even though the component it left is solved only at the
+// instant's flush. Here the completion handler re-starts the same struct
+// on a disjoint route before that flush (as beegfs does when a pooled
+// attempt is reissued), and the warm-started rates of the component it
+// left must still match the reference waterfill at 0 ULP. With two
+// workers both dirty components go through the parallel flush.
+func TestBatchedWarmHintSurvivesFlowReuse(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			sim := simkernel.New()
+			net := New(sim)
+			net.SetBatching(workers)
+			var st Stats
+			net.SetStats(&st)
+			// Enough flows for the solve to record its trajectory. The NICs
+			// bind one by one; the widest ones freeze together at the
+			// shared core in the last pass.
+			const n = recordMinFlows + 12
+			core := net.AddResource("core", 1500)
+			flows := make([]*Flow, n)
+			for i := range flows {
+				nic := net.AddResource(fmt.Sprintf("nic%02d", i), 10+float64(i))
+				flows[i] = &Flow{Name: fmt.Sprintf("f%02d", i), Volume: 1e6,
+					Usage: map[*Resource]float64{core: 1, nic: 1}}
+			}
+			// x uses only the core, so its departure leaves the resource
+			// set intact; it freezes in the core pass and finishes long
+			// before the others, so the warm start can replay every NIC
+			// pass before that.
+			x := flows[n-1]
+			x.Volume = 1
+			x.Usage = map[*Resource]float64{core: 1}
+			elsewhere := net.AddResource("elsewhere", 7)
+			checked := false
+			check := func() {
+				checked = true
+				c := flows[0].comp
+				if c == x.comp || len(c.flows) != n-1 {
+					t.Fatalf("component left by x has %d flows (want %d)", len(c.flows), n-1)
+				}
+				got := make([]uint64, len(c.flows))
+				for i, f := range c.flows {
+					got[i] = math.Float64bits(f.rate)
+				}
+				solveReference(c.flows, c.resources)
+				for i, f := range c.flows {
+					if want := math.Float64bits(f.rate); got[i] != want {
+						t.Fatalf("flow %s rate bits %x after the flush, reference %x", f.Name, got[i], want)
+					}
+				}
+			}
+			x.OnComplete = func(simkernel.Time) {
+				x.OnComplete = nil
+				x.Usage = map[*Resource]float64{elsewhere: 1}
+				x.Volume = 1e6
+				net.Start(x)
+				sim.After(1e-3, check)
+			}
+			sim.At(0, func() {
+				for _, f := range flows {
+					net.Start(f)
+				}
+			})
+			for !checked && sim.Step() {
+			}
+			if !checked {
+				t.Fatal("x never completed")
+			}
+			if st.WarmHits != 1 {
+				t.Fatalf("warm hits = %d, want 1 (the departure must take the warm-start path)", st.WarmHits)
+			}
+		})
+	}
+}
+
 // TestSetBatchingGuards checks the mode-change preconditions.
 func TestSetBatchingGuards(t *testing.T) {
 	expectPanic := func(name string, fn func()) {

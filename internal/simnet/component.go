@@ -60,16 +60,18 @@ type component struct {
 	// Any other mutation (merge, rebuild, reset) invalidates it.
 	traj trajectory
 
+	// departed is the warm-start hint for the next solve: a copy of the
+	// single flow detached since the last one (empty when there is none).
+	departed departure
+
 	// Batched-mode bookkeeping (see batch.go). dirty marks the component
 	// as awaiting its once-per-instant solve; pendEvents counts the events
-	// that touched it this instant; pendRemoved is the single detached
-	// flow when pendEvents == 1 (the warm-start hint — any second event
-	// clears it); pendTrig is the trigger of the event that first dirtied
-	// the component, for stats classification.
-	dirty       bool
-	pendEvents  int
-	pendRemoved *Flow
-	pendTrig    SolveTrigger
+	// that touched it this instant (departed is kept only while it is 1);
+	// pendTrig is the trigger of the event that first dirtied the
+	// component, for stats classification.
+	dirty      bool
+	pendEvents int
+	pendTrig   SolveTrigger
 }
 
 // flowBefore is the canonical in-component flow order: by name, then by
@@ -178,7 +180,7 @@ func (c *component) reset() {
 	c.removals = 0
 	c.dirty = false
 	c.pendEvents = 0
-	c.pendRemoved = nil
+	c.departed.clear()
 	c.pendTrig = 0
 	c.traj.valid = false
 	// The trajectory arenas keep their capacity for reuse, but a pooled

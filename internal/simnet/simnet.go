@@ -486,7 +486,7 @@ func (n *Network) SetCapacity(r *Resource, capacity float64) {
 		n.markDirty(r.comp, nil, TriggerCapacity)
 		return
 	}
-	n.rebalanceComp(r.comp, now, nil, TriggerCapacity)
+	n.rebalanceComp(r.comp, now, TriggerCapacity)
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -589,7 +589,7 @@ func (n *Network) Start(f *Flow) {
 				n.markDirty(frag, nil, TriggerStart)
 				continue
 			}
-			n.rebalanceComp(frag, now, nil, TriggerStart)
+			n.rebalanceComp(frag, now, TriggerStart)
 		}
 		for i := range f.uses {
 			if rc := f.uses[i].res.comp; rc != nil {
@@ -628,7 +628,7 @@ func (n *Network) Start(f *Flow) {
 		n.markDirty(target, nil, TriggerStart)
 		return
 	}
-	n.rebalanceComp(target, now, nil, TriggerStart)
+	n.rebalanceComp(target, now, TriggerStart)
 }
 
 // collectStartComps gathers the distinct live components of f's resources
@@ -674,7 +674,8 @@ func (n *Network) Abort(f *Flow) {
 	} else if n.batchWorkers > 0 {
 		n.markDirty(c, f, TriggerAbort)
 	} else {
-		n.rebalanceComp(c, now, f, TriggerAbort)
+		c.departed.record(f, c.traj.valid)
+		n.rebalanceComp(c, now, TriggerAbort)
 	}
 	if f.OnAbort != nil {
 		f.OnAbort(now)
@@ -810,13 +811,15 @@ func (n *Network) settleRescheduleAll() {
 // every flow already carrying its completion event) this performs zero
 // heap allocations.
 //
-// removed, when non-nil, is a flow just detached from c whose departure
-// is the only change since c's last solve; the rebalance then tries the
-// warm-start path, replaying the recorded freeze trajectory's unaffected
-// prefix instead of re-solving from scratch. Either way the resulting
-// rates are bit-identical to a cold solve.
-func (n *Network) rebalanceComp(c *component, now simkernel.Time, removed *Flow, trig SolveTrigger) {
+// When c.departed holds a flow whose departure is the only change since
+// c's last solve, the rebalance tries the warm-start path, replaying the
+// recorded freeze trajectory's unaffected prefix instead of re-solving
+// from scratch. Either way the resulting rates are bit-identical to a
+// cold solve, and the hint is consumed.
+func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrigger) {
+	warm := c.departed.f != nil
 	if len(c.flows) == 0 {
+		c.departed.clear()
 		return
 	}
 	if n.observer != nil {
@@ -838,9 +841,10 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, removed *Flow,
 	n.sv.indexed = true
 	n.sv.lastGroups = 0
 	done := false
-	if removed != nil && c.traj.valid {
-		done = n.sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, removed)
+	if warm && c.traj.valid {
+		done = n.sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, &c.departed)
 	}
+	c.departed.clear()
 	// Whatever happens next, the last recorded trajectory no longer
 	// matches the component: a warm start consumed it, and a cold solve
 	// either re-records it or (below the size cutoff) leaves it stale.
@@ -867,7 +871,7 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, removed *Flow,
 		n.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
 		n.stats.Solves[trig]++
 		n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
-		if removed != nil {
+		if warm {
 			if done {
 				n.stats.WarmHits++
 				n.stats.WarmReplayedPasses += uint64(n.sv.lastReplayed)
@@ -955,7 +959,8 @@ func (n *Network) complete(f *Flow) {
 	} else if n.batchWorkers > 0 {
 		n.markDirty(c, f, TriggerComplete)
 	} else {
-		n.rebalanceComp(c, now, f, TriggerComplete)
+		c.departed.record(f, c.traj.valid)
+		n.rebalanceComp(c, now, TriggerComplete)
 	}
 	if f.OnComplete != nil {
 		f.OnComplete(now)

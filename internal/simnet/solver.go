@@ -392,6 +392,56 @@ func (s *solver) freeze(f *Flow, rate float64, pass int, rec *trajectory) {
 	}
 }
 
+// departure is what the warm start reads of a flow that has just left a
+// component: its compiled usage vector, its cap and the pass it froze in,
+// copied out of the Flow when the departure is recorded. The copy is what
+// makes a Flow its caller's again once OnComplete/OnAbort has run: under
+// batching the warm start runs later, at the instant's flush, and by then
+// the caller may have re-started the same struct on another route (beegfs
+// recycles attempts, with their embedded flows, through a pool shared by
+// every network). f is only an identity, matched against the trajectory's
+// frozen entries; it is never dereferenced. The uses backing array is
+// reused, so recording a departure does not allocate in steady state.
+type departure struct {
+	f     *Flow
+	uses  []use
+	cap   float64
+	fpass int32
+}
+
+// record notes f's departure from a component. The warm start runs only
+// on a component whose last solve left a valid trajectory (replayable),
+// and nothing but the next solve can make one valid, so only then is f's
+// state copied; otherwise f serves the stats as a removal marker alone and
+// components too small to record a trajectory never grow a uses copy.
+func (d *departure) record(f *Flow, replayable bool) {
+	d.clear()
+	d.f = f
+	if replayable {
+		d.uses = append(d.uses, f.uses...)
+		d.cap = f.Cap
+		d.fpass = f.fpass
+	}
+}
+
+// clear drops the hint, zeroing the copied entries so a pooled component
+// does not pin resources.
+func (d *departure) clear() {
+	d.f = nil
+	clear(d.uses)
+	d.uses = d.uses[:0]
+}
+
+// usesRes reports whether the departed flow's usage vector touches r.
+func (d *departure) usesRes(r *Resource) bool {
+	for i := range d.uses {
+		if d.uses[i].res == r {
+			return true
+		}
+	}
+	return false
+}
+
 // warmSolve re-solves a component from which exactly one flow (removed)
 // has departed since traj was recorded, replaying the prefix of recorded
 // passes the departure provably cannot have changed and running the live
@@ -415,13 +465,13 @@ func (s *solver) freeze(f *Flow, rate float64, pass int, rec *trajectory) {
 //     their d only grew, so b stays the first minimum with bit-identical
 //     delta.)
 //   - capFired while removed was still unfrozen and alone at the cap
-//     frontier: capDelta = minCap - fill came from removed.Cap, and the
+//     frontier: capDelta = minCap - fill came from removed.cap, and the
 //     remaining minimum is larger. A duplicate holder keeps capDelta
 //     bit-identical, so the pass replays.
 //
 // The scan stops at the first such pass; everything before it froze the
 // same flows (minus removed) at the same rates with the same fill.
-func (s *solver) warmSolve(flows []*Flow, resources []*Resource, capped []*Flow, traj *trajectory, removed *Flow) bool {
+func (s *solver) warmSolve(flows []*Flow, resources []*Resource, capped []*Flow, traj *trajectory, removed *departure) bool {
 	if !traj.valid || traj.nRes != len(resources) || traj.nFlows != len(flows)+1 {
 		return false
 	}
@@ -431,8 +481,8 @@ func (s *solver) warmSolve(flows []*Flow, resources []*Resource, capped []*Flow,
 		if p.resFired && removed.usesRes(p.bottleneck) {
 			break
 		}
-		if p.capFired && removed.Cap > 0 && removed.fpass >= int32(h) &&
-			removed.Cap <= p.minCap && !p.minCapDup {
+		if p.capFired && removed.cap > 0 && removed.fpass >= int32(h) &&
+			removed.cap <= p.minCap && !p.minCapDup {
 			break
 		}
 		h++
@@ -486,7 +536,7 @@ func (s *solver) warmSolve(flows []*Flow, resources []*Resource, capped []*Flow,
 	s.active = len(flows)
 	for i := int32(0); i < traj.passes[h-1].frozenEnd; i++ {
 		fr := traj.frozen[i]
-		if fr.f == removed {
+		if fr.f == removed.f {
 			continue
 		}
 		fr.f.frozen = true
