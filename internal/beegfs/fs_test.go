@@ -538,7 +538,11 @@ func TestSharedClientRampScalesWithActiveNodes(t *testing.T) {
 	if !almost(fs.ClientRamp().Capacity(), want, 1e-6) {
 		t.Fatalf("ramp capacity = %v, want %v", fs.ClientRamp().Capacity(), want)
 	}
-	// Both flows split the ramp evenly and the aggregate equals the ramp.
+	// Both flows split the ramp evenly and the aggregate equals the ramp
+	// once the t=0 flush has solved the component.
+	if err := sim.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
 	if got := flows[0].Rate() + flows[1].Rate(); !almost(got, want, 1e-6) {
 		t.Fatalf("aggregate rate = %v, want %v", got, want)
 	}
@@ -558,7 +562,7 @@ func TestSharedRampIsGlobalAcrossApps(t *testing.T) {
 	cfg.ClientA = 1000
 	cfg.ClientGamma = 0.5
 	cfg.ServerNICCapacity = 0
-	_, fs := newFS(t, cfg)
+	sim, fs := newFS(t, cfg)
 	c1 := fs.NewClient("n1", 0)
 	c2 := fs.NewClient("n2", 0)
 	f1, _ := fs.CreateWithPattern("/f1", StripePattern{Count: 8, ChunkSize: 512 * KiB}, nil)
@@ -569,6 +573,9 @@ func TestSharedRampIsGlobalAcrossApps(t *testing.T) {
 	}
 	fl2, err := fs.StartWrite(&WriteOp{Client: c2, File: f2, Length: GiB, TransferSize: MiB, App: "b"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunUntil(0); err != nil {
 		t.Fatal(err)
 	}
 	agg := fl1.Rate() + fl2.Rate()

@@ -222,7 +222,9 @@ type Deployment struct {
 	serverNICBase float64
 }
 
-// Deploy instantiates the platform.
+// Deploy instantiates the platform. Its network solves same-instant
+// events once per dirty component per instant, with a serial flush;
+// campaigns widen the flush with Net.SetFlushWorkers.
 func (p Platform) Deploy() (*Deployment, error) {
 	sim := simkernel.New()
 	net := simnet.New(sim)

@@ -374,3 +374,52 @@ func TestFatTreeCore(t *testing.T) {
 		t.Fatalf("explicit core capacity = %v, want %v", p2.FS.CoreCapacity, 1234*protocolEfficiency)
 	}
 }
+
+// TestWriteStartCostsOneSolve pins same-instant batching on a paper
+// deployment: a second client starting one write at t=1 both starts a
+// flow and raises the shared client-ramp capacity (beegfs's
+// active-client accounting moves from one to two nodes), yet the instant
+// costs exactly one component solve. A solve per event would cost two.
+func TestWriteStartCostsOneSolve(t *testing.T) {
+	d, err := PlaFRIM(Scenario1Ethernet).Deploy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := d.EnableStats()
+	nodes := d.Nodes(2)
+	solves := func() (sum uint64) {
+		for _, n := range st.Net.Solves {
+			sum += n
+		}
+		return sum
+	}
+	write := func(c *beegfs.Client, path string, length int64) {
+		f, err := d.FS.Create(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.FS.StartWrite(&beegfs.WriteOp{
+			Client: c, File: f, Length: length, TransferSize: beegfs.MiB,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first client's long write keeps the ramp busy past t=1.
+	d.Sim.At(0, func() { write(nodes[0], "/long", 16*beegfs.GiB) })
+	var before uint64
+	var rampBefore float64
+	d.Sim.At(1, func() {
+		before, rampBefore = solves(), d.FS.ClientRamp().Capacity()
+		write(nodes[1], "/short", 64*beegfs.MiB)
+	})
+	if err := d.Sim.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if d.FS.ActiveClients() != 2 || d.FS.ClientRamp().Capacity() <= rampBefore {
+		t.Fatalf("ramp capacity %v -> %v with %d active clients, want a raise for two",
+			rampBefore, d.FS.ClientRamp().Capacity(), d.FS.ActiveClients())
+	}
+	if got := solves() - before; got != 1 {
+		t.Fatalf("solves at t=1 = %d, want exactly 1 (solves by trigger: %v)", got, st.Net.Solves)
+	}
+}

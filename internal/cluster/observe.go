@@ -62,10 +62,10 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 	reg.Add("simnet/warmstart_hits", n.WarmHits)
 	reg.Add("simnet/warmstart_misses", n.WarmMisses)
 	reg.Add("simnet/warmstart_replayed_passes", n.WarmReplayedPasses)
-	// Batched-mode counters; all zero when SetBatching is off. Like every
-	// simnet counter they are worker-count-independent (ParallelSolves is
-	// defined by batch shape, not by pool execution), so the registry stays
-	// deterministic at any -workers setting.
+	// Same-instant batching counters (one flush per instant, see simnet's
+	// batch.go). Like every simnet counter they are worker-count-independent
+	// (ParallelSolves is defined by batch shape, not by pool execution), so
+	// the registry stays deterministic at any -workers setting.
 	reg.Add("simnet/solve_batches", n.SolveBatches)
 	reg.Add("simnet/components_dirty", n.ComponentsDirty)
 	reg.Add("simnet/parallel_solves", n.ParallelSolves)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/beegfs"
 )
@@ -31,8 +32,21 @@ type Spec struct {
 	MDSOpRate float64 `json:"mds_op_rate,omitempty"`
 }
 
-// Platform materializes the spec.
+// MaxSpecTargets bounds the storage targets (hosts × targets_per_host) a
+// spec may describe. Deploy builds every target, host and resource up
+// front, so an unbounded shape from a config file would hang it (1e8
+// hosts take minutes) or overflow the product; the bound is far above
+// every shipped platform (the largest fat tree has 512 targets).
+const MaxSpecTargets = 1 << 14
+
+// Platform materializes the spec. Values it cannot use are errors, never
+// silently replaced by the base's: a negative count, size or rate; a NaN
+// or infinite rate; a chunk size whose byte count overflows; or a shape
+// with more than MaxSpecTargets targets.
 func (s Spec) Platform() (Platform, error) {
+	if err := s.check(); err != nil {
+		return Platform{}, err
+	}
 	var p Platform
 	switch s.Base {
 	case "scenario1":
@@ -91,6 +105,12 @@ func (s Spec) Platform() (Platform, error) {
 	if s.MDSOpRate > 0 {
 		p.FS.MDSOpRate = s.MDSOpRate
 	}
+	// Both factors are positive here, so dividing instead of multiplying
+	// keeps the bound check itself from overflowing.
+	if p.FS.TargetsPerHost > MaxSpecTargets/p.FS.Hosts {
+		return p, fmt.Errorf("cluster: %d hosts × %d targets per host exceeds the %d-target limit",
+			p.FS.Hosts, p.FS.TargetsPerHost, MaxSpecTargets)
+	}
 	if max := p.FS.Hosts * p.FS.TargetsPerHost; p.FS.DefaultPattern.Count > max {
 		return p, fmt.Errorf("cluster: default stripe count %d exceeds %d targets", p.FS.DefaultPattern.Count, max)
 	}
@@ -98,6 +118,39 @@ func (s Spec) Platform() (Platform, error) {
 		return p, err
 	}
 	return p, nil
+}
+
+// check rejects the field values Platform would otherwise have to ignore
+// or could not deploy.
+func (s Spec) check() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"hosts", int64(s.Hosts)},
+		{"targets_per_host", int64(s.TargetsPerHost)},
+		{"default_stripe_count", int64(s.DefaultStripeCount)},
+		{"chunk_size_kib", s.ChunkSizeKiB},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("cluster: spec %s = %d is negative", f.name, f.v)
+		}
+	}
+	if s.ChunkSizeKiB > math.MaxInt64/1024 {
+		return fmt.Errorf("cluster: spec chunk_size_kib = %d overflows a byte count", s.ChunkSizeKiB)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"link_rate_mibs", s.LinkRateMiBs},
+		{"mds_op_rate", s.MDSOpRate},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cluster: spec %s = %v is not a finite non-negative rate", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // ParseSpec decodes a JSON spec (unknown fields are rejected to catch

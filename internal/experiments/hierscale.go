@@ -145,11 +145,11 @@ type hierScaleJob struct {
 }
 
 // runHierScaleCell simulates one (topology, mode) cell. hierWorkers == 0
-// is flat mode; otherwise SetHierarchical(hierWorkers, maxRelErr).
-// batchWorkers feeds SetBatching (0 = unbatched; the churn benchmark uses
-// the unbatched path, where a single fused component gives the
-// hierarchical solver's internal parallelism the cores).
-func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, hierWorkers int, maxRelErr float64, jobs int, seed uint64) (ExtHierScaleRow, error) {
+// is flat mode; otherwise SetHierarchical(hierWorkers, maxRelErr). The
+// flush fans over scaleBatchWorkers goroutines; a flush holding a single
+// fused component solves it serially and leaves the cores to the
+// hierarchical solver's internal parallelism.
+func runHierScaleCell(topo hierScaleTopo, mode string, hierWorkers int, maxRelErr float64, jobs int, seed uint64) (ExtHierScaleRow, error) {
 	p, err := cluster.FatTreeCore("hierscale-"+topo.name, topo.spec)
 	if err != nil {
 		return ExtHierScaleRow{}, err
@@ -158,7 +158,7 @@ func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, hierWorkers
 	if err != nil {
 		return ExtHierScaleRow{}, err
 	}
-	dep.Net.SetBatching(batchWorkers)
+	dep.Net.SetFlushWorkers(scaleBatchWorkers)
 	if hierWorkers > 0 {
 		dep.Net.SetHierarchical(hierWorkers, maxRelErr)
 		dep.Net.SetHierarchicalMinFlows(hierScaleMinFlows)
@@ -388,7 +388,7 @@ func ExtHierScale(opts Options) ([]ExtHierScaleRow, error) {
 		seed := opts.Seed*1061 + uint64(cell/len(modes))*53
 		// Every campaign mode runs batched at the same width; the modes
 		// differ only in what happens inside a component solve.
-		row, err := runHierScaleCell(topo, m.name, scaleBatchWorkers, m.workers, m.maxRelErr, jobs, seed)
+		row, err := runHierScaleCell(topo, m.name, m.workers, m.maxRelErr, jobs, seed)
 		if err != nil {
 			return err
 		}

@@ -1,15 +1,10 @@
 // Job-churn scale campaign: datacenter-sized fat-tree topologies under
-// Poisson job arrivals, run once per (topology, solver mode) cell. The
-// campaign serves two purposes at once. As an *experiment* it measures the
-// paper's metrics at a scale PlaFRIM cannot reach — per-job bandwidth
-// under rack-local placement, peak in-flight flow counts, solver work per
-// simulated event. As a *differential test* it re-runs the identical
-// workload with same-instant event batching off and on: every simulated
-// quantity (job bandwidths, completion instants, peak concurrency) must
-// come out bit-identical, extending the PR 3/4 oracle methodology from
-// single solves to whole campaigns. Only the wall-clock fields (events/s,
-// per-event step-time percentiles) may differ between modes — they are
-// what the batching exists to improve.
+// Poisson job arrivals, one cell per topology. It measures the paper's
+// metrics at a scale PlaFRIM cannot reach — per-job bandwidth under
+// rack-local placement, peak in-flight flow counts, solver work per
+// simulated event — with the network's flush fanning same-instant
+// component solves over scaleBatchWorkers goroutines. Only the wall-clock
+// fields (events/s, per-event step-time percentiles) vary between runs.
 package experiments
 
 import (
@@ -26,15 +21,15 @@ import (
 	"repro/internal/storagesim"
 )
 
-// scaleBatchWorkers is the flush worker-pool width of the batched mode.
+// scaleBatchWorkers is the network's flush worker-pool width (see
+// simnet.SetFlushWorkers) in the fat-tree campaigns.
 // Fixed (not tied to Options.Workers, which governs cell concurrency) so
 // the campaign's rows are identical at any -workers setting.
 const scaleBatchWorkers = 4
 
-// ExtScaleRow is one (topology, mode) cell of the scale campaign.
+// ExtScaleRow is one topology cell of the scale campaign.
 type ExtScaleRow struct {
 	Topology string
-	Mode     string // "unbatched" or "batched"
 	// Racks and Targets describe the deployed fabric.
 	Racks   int
 	Targets int
@@ -47,7 +42,7 @@ type ExtScaleRow struct {
 	PeakFlows int
 	// Events and Solves count dispatched kernel events and component
 	// waterfill solves; SolvesPerEvent is their ratio — the quantity
-	// batching collapses.
+	// same-instant batching keeps low.
 	Events         uint64
 	Solves         uint64
 	SolvesPerEvent float64
@@ -61,8 +56,8 @@ type ExtScaleRow struct {
 }
 
 // Deterministic returns the row with its wall-clock fields zeroed — the
-// portion that must be bit-identical across -workers settings and, except
-// for the solver-work counters, across solver modes.
+// portion that must be bit-identical across -workers settings and flush
+// worker counts.
 func (r ExtScaleRow) Deterministic() ExtScaleRow {
 	r.WallSec, r.EventsPerSec, r.StepP50us, r.StepP99us = 0, 0, 0, 0
 	return r
@@ -118,8 +113,9 @@ type scaleJob struct {
 	pending int
 }
 
-// runScaleCell simulates one (topology, mode) cell and returns its row.
-func runScaleCell(topo scaleTopo, mode string, batchWorkers, jobs int, seed uint64) (ExtScaleRow, error) {
+// runScaleCell simulates one topology cell with flushWorkers flush solver
+// goroutines and returns its row.
+func runScaleCell(topo scaleTopo, flushWorkers, jobs int, seed uint64) (ExtScaleRow, error) {
 	p, err := cluster.FatTree("scale-"+topo.name, topo.spec)
 	if err != nil {
 		return ExtScaleRow{}, err
@@ -128,7 +124,7 @@ func runScaleCell(topo scaleTopo, mode string, batchWorkers, jobs int, seed uint
 	if err != nil {
 		return ExtScaleRow{}, err
 	}
-	dep.Net.SetBatching(batchWorkers)
+	dep.Net.SetFlushWorkers(flushWorkers)
 	st := dep.EnableStats()
 
 	// Rack-local placement state: targets grouped by rack (registration
@@ -205,7 +201,7 @@ func runScaleCell(topo scaleTopo, mode string, batchWorkers, jobs int, seed uint
 	}
 	// Poisson arrival chain: each arrival draws the next one, stopping
 	// after the target job count. All rng draws happen in arrival events
-	// at distinct instants, so the stream is identical in both modes.
+	// at distinct instants, so the stream is identical at any worker count.
 	nodesBase, nodesSpread := topo.nodesBase, topo.nodesSpread
 	if nodesBase == 0 {
 		nodesBase, nodesSpread = 2, 3
@@ -238,12 +234,12 @@ func runScaleCell(topo scaleTopo, mode string, batchWorkers, jobs int, seed uint
 		stepNanos.Observe(uint64(now.Sub(prev)))
 		prev = now
 		if dep.Sim.Executed() > 200_000_000 {
-			return ExtScaleRow{}, fmt.Errorf("experiments: scale cell %s/%s runaway event loop", topo.name, mode)
+			return ExtScaleRow{}, fmt.Errorf("experiments: scale cell %s runaway event loop", topo.name)
 		}
 	}
 	wall := time.Since(begin).Seconds()
 	if len(bws) != jobs {
-		return ExtScaleRow{}, fmt.Errorf("experiments: scale cell %s/%s finished %d of %d jobs", topo.name, mode, len(bws), jobs)
+		return ExtScaleRow{}, fmt.Errorf("experiments: scale cell %s finished %d of %d jobs", topo.name, len(bws), jobs)
 	}
 	sum, err := stats.Summarize(bws)
 	if err != nil {
@@ -256,7 +252,6 @@ func runScaleCell(topo scaleTopo, mode string, batchWorkers, jobs int, seed uint
 	events := st.Kernel.Dispatched
 	return ExtScaleRow{
 		Topology:       topo.name,
-		Mode:           mode,
 		Racks:          racks,
 		Targets:        len(dep.FS.Mgmtd().All()),
 		Jobs:           len(bws),
@@ -296,31 +291,18 @@ func histQuantileUS(h *obs.Log2Hist, q float64) float64 {
 	return 0
 }
 
-// ExtScale runs the scale campaign: every topology in both solver modes.
-// Beyond returning the rows it enforces the equivalence contract in-line:
-// within a topology, the batched cell must reproduce the unbatched cell's
-// simulated results (bandwidths, peak concurrency, job count) exactly —
-// a mismatch is an error, not a row.
+// ExtScale runs the scale campaign: one row per topology.
 func ExtScale(opts Options) ([]ExtScaleRow, error) {
 	reps := opts.Reps
 	if reps <= 0 {
 		reps = 4
 	}
 	topos := scaleTopos(reps)
-	modes := []struct {
-		name    string
-		workers int
-	}{
-		{"unbatched", 0},
-		{"batched", scaleBatchWorkers},
-	}
-	rows := make([]ExtScaleRow, len(topos)*len(modes))
+	rows := make([]ExtScaleRow, len(topos))
 	err := forEachCell(len(rows), opts.Workers, func(cell int) error {
-		topo := topos[cell/len(modes)]
-		m := modes[cell%len(modes)]
-		jobs := topo.jobsPerRep * reps
-		seed := opts.Seed*977 + uint64(cell/len(modes))*53
-		row, err := runScaleCell(topo, m.name, m.workers, jobs, seed)
+		topo := topos[cell]
+		seed := opts.Seed*977 + uint64(cell)*53
+		row, err := runScaleCell(topo, scaleBatchWorkers, topo.jobsPerRep*reps, seed)
 		if err != nil {
 			return err
 		}
@@ -329,16 +311,6 @@ func ExtScale(opts Options) ([]ExtScaleRow, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		a, b := rows[i], rows[i+1]
-		if a.Jobs != b.Jobs || a.PeakFlows != b.PeakFlows ||
-			math.Float64bits(a.BWMean) != math.Float64bits(b.BWMean) ||
-			math.Float64bits(a.BWMin) != math.Float64bits(b.BWMin) ||
-			math.Float64bits(a.BWMax) != math.Float64bits(b.BWMax) {
-			return nil, fmt.Errorf("experiments: scale topology %s: batched results diverge from unbatched (bw %v vs %v)",
-				a.Topology, a.BWMean, b.BWMean)
-		}
 	}
 	return rows, nil
 }

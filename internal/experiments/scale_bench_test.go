@@ -23,14 +23,12 @@ var churn10kTopo = scaleTopo{
 const churn10kJobs = 4000
 
 // benchmarkScaleChurn runs the full 10k-flow churn once per iteration and
-// reports solver work per simulated event. The acceptance numbers live in
-// BENCH_PR7.json as informational entries (not CI-gated — a full churn is
-// too long for the bench-smoke job): batched mode must sustain >=10k
-// concurrent flows and improve ns per event by >=3x over unbatched.
-// Run with -benchtime 1x.
-func benchmarkScaleChurn(b *testing.B, mode string, workers int) {
+// reports solver work per simulated event. The numbers are informational
+// (not CI-gated — a full churn is too long for the bench-smoke job); the
+// churn must sustain >=10k concurrent flows. Run with -benchtime 1x.
+func benchmarkScaleChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		row, err := runScaleCell(churn10kTopo, mode, workers, churn10kJobs, 17)
+		row, err := runScaleCell(churn10kTopo, scaleBatchWorkers, churn10kJobs, 17)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,11 +65,11 @@ const churnCoreJobs = 2600
 // it holds on any hardware. Run with -benchtime 1x.
 func benchmarkScaleChurnCore(b *testing.B, hierWorkers int) {
 	for i := 0; i < b.N; i++ {
-		flat, err := runHierScaleCell(churnCoreTopo, "flat", 0, 0, 0, churnCoreJobs, 17)
+		flat, err := runHierScaleCell(churnCoreTopo, "flat", 0, 0, churnCoreJobs, 17)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hier, err := runHierScaleCell(churnCoreTopo, "hier-exact", 0, hierWorkers, 0, churnCoreJobs, 17)
+		hier, err := runHierScaleCell(churnCoreTopo, "hier-exact", hierWorkers, 0, churnCoreJobs, 17)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +95,6 @@ func benchmarkScaleChurnCore(b *testing.B, hierWorkers int) {
 }
 
 func BenchmarkScaleChurn10k(b *testing.B) {
-	b.Run("unbatched", func(b *testing.B) { benchmarkScaleChurn(b, "unbatched", 0) })
-	b.Run("batched", func(b *testing.B) { benchmarkScaleChurn(b, "batched", scaleBatchWorkers) })
+	b.Run("batched", benchmarkScaleChurn)
 	b.Run("core-hier8", func(b *testing.B) { benchmarkScaleChurnCore(b, 8) })
 }

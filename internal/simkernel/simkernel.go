@@ -202,8 +202,8 @@ func (s *Simulation) Executed() uint64 { return s.executed }
 func (s *Simulation) Pending() int { return len(s.queue) }
 
 // NextAt returns the virtual time of the earliest pending event, and
-// whether one exists. Instant-boundary drivers (the batched-mode
-// differential harnesses) use it to step the queue one whole instant at a
+// whether one exists. Instant-boundary drivers (simnet's differential
+// harnesses) use it to step the queue one whole instant at a
 // time: fire events while NextAt stays equal, then compare state.
 func (s *Simulation) NextAt() (Time, bool) {
 	if len(s.queue) == 0 {

@@ -2,44 +2,37 @@ package simnet
 
 // Same-instant event batching and parallel per-component solving.
 //
-// Unbatched, every event (flow start, completion, abort, capacity change)
-// settles and re-solves the component it touches immediately. Events
-// clustered at one virtual instant therefore re-solve the same component
-// once per event: a shared client ramp ramping N clients at t=0 costs
-// O(N) full-component waterfills for rates only the last solve keeps.
+// Every event (flow start, completion, abort, capacity change) performs
+// its O(1) membership work eagerly — settle (a same-instant re-settle is a
+// dt=0 no-op), insert/remove, union/rebuild, capacity write — but instead
+// of solving it marks the touched component dirty and arms a single flush
+// event at the current instant. The flush is the instant's solve barrier:
+// arming re-queues an already-fired event, which the kernel assigns a
+// fresh sequence number, so the flush always fires after every event
+// already queued at this instant. Events that cascade from the flush
+// itself (completions it re-schedules to the same instant, OnComplete
+// handlers starting new flows) re-arm the flush, forming another wave; the
+// instant drains with each dirty component solved once per wave instead of
+// once per event. A shared client ramp starting N clients at t=0 thus
+// costs one full-component waterfill, not N, and a client's write start
+// plus the concave-capacity change it triggers cost one solve, not two.
 //
-// Batched (SetBatching), an event still performs all its O(1) membership
-// work eagerly — settle (a same-instant re-settle is a dt=0 no-op),
-// insert/remove, union/rebuild, capacity write — but instead of solving
-// it marks the touched component dirty and arms a single flush event at
-// the current instant. The flush is the instant's solve barrier: arming
-// re-queues an already-fired event, which the kernel assigns a fresh
-// sequence number, so the flush always fires after every event already
-// queued at this instant. Events that cascade from the flush itself
-// (completions it re-schedules to the same instant, OnComplete handlers
-// starting new flows) re-arm the flush, forming another wave; the instant
-// drains with each dirty component solved once per wave instead of once
-// per event.
+// The flush's per-component solve is the same cold (or warm-started)
+// waterfill an event-at-a-time solver would have run on the instant's
+// final membership, so rates, remainders and completion instants at every
+// instant boundary are those of the reference solver (the batched fuzzer,
+// FuzzBatchedVsSequentialEvents, checks them against solveReference at
+// 0 ULP). What batching does not fix is mid-instant order: rate observers
+// fire once per flush rather than once per event, and completion events
+// due at the same instant fire in kernel-sequence order, which the flush's
+// rescheduling — not the order the flows were started in — determines.
 //
-// Equivalence to the unbatched path, at instant granularity: membership
-// operations are identical and eager; intra-instant settles are dt=0
-// no-ops in both modes; and the flush's per-component solve is the same
-// cold (or warm-started) waterfill the last unbatched event would have
-// run on the same final membership — bit-identical rates, remainders and
-// completion instants at every instant boundary. What batching does NOT
-// preserve is mid-instant observable order: rate observers fire once per
-// flush instead of once per event, and equal-instant completion events
-// may fire in a different sequence within the instant. The differential
-// fuzzer (FuzzBatchedVsSequentialEvents) therefore compares full flow
-// state at instant boundaries, at 0 ULP.
-//
-// When SetBatching is given more than one worker, a flush with several
+// With more than one flush worker (SetFlushWorkers), a flush with several
 // dirty components fans the solves over that many goroutines. Components
 // are disjoint by construction — a resource and a flow belong to exactly
 // one component — so the solves touch disjoint memory, and the finish
-// phase (completion scheduling, observers, stats) replays the outcomes
-// serially in component-id order. Output is byte-identical to the serial
-// flush at any worker count.
+// phase (completion scheduling, observers, stats) runs serially in
+// component-id order. Output is byte-identical at any worker count.
 
 import (
 	"fmt"
@@ -50,35 +43,23 @@ import (
 	"repro/internal/simkernel"
 )
 
-// SetBatching configures same-instant event batching. workers == 0
-// disables batching (the default: every event re-solves immediately,
-// preserving the historical per-event cadence byte for byte). workers == 1
-// batches with serial flush solves; workers > 1 additionally solves
-// independent dirty components on that many goroutines. Output at instant
-// boundaries is bit-identical across all settings.
-//
-// The mode may only change while no flow is in flight and no flush is
-// pending; it cannot be combined with the forceGlobal test mode (a single
-// global component has nothing to batch per-component).
-func (n *Network) SetBatching(workers int) {
-	if workers < 0 {
-		panic(fmt.Sprintf("simnet: negative batch worker count %d", workers))
+// SetFlushWorkers sets how many goroutines a flush fans independent dirty
+// component solves over. The default, 1, solves them serially on the
+// event-loop goroutine; output is bit-identical at any setting. It panics
+// on workers < 1, and while a flow is in flight or a flush is pending.
+func (n *Network) SetFlushWorkers(workers int) {
+	if workers < 1 {
+		panic(fmt.Sprintf("simnet: flush worker count %d < 1", workers))
 	}
 	if n.nActive > 0 || n.flushArmed {
-		panic("simnet: SetBatching while flows are in flight")
+		panic("simnet: SetFlushWorkers while flows are in flight")
 	}
-	if n.forceGlobal && workers > 0 {
-		panic("simnet: SetBatching is incompatible with the forceGlobal test mode")
-	}
-	n.batchWorkers = workers
+	n.flushWorkers = workers
 	if workers > 1 && len(n.psv) < workers {
 		n.psv = make([]solver, workers)
 		n.workerStats = make([]Stats, workers)
 	}
 }
-
-// Batching reports the configured batch worker count (0 = batching off).
-func (n *Network) Batching() int { return n.batchWorkers }
 
 // markDirty queues c for the instant's flush. The first mark of an
 // instant records the triggering event kind (for stats classification)
@@ -113,10 +94,7 @@ func (n *Network) armFlush() {
 	n.flushArmed = true
 	now := n.sim.Now()
 	if n.flushEvent == nil {
-		if n.flushFn == nil {
-			n.flushFn = n.flush
-		}
-		n.flushEvent = n.sim.At(now, n.flushFn)
+		n.flushEvent = n.sim.At(now, n.flush)
 		return
 	}
 	n.sim.Reschedule(n.flushEvent, now)
@@ -155,17 +133,29 @@ func (n *Network) flush() {
 		}
 	}
 	if n.batchObserver != nil {
-		n.batchObserver(now, BatchInfo{Components: len(comps), Workers: n.batchWorkers})
+		n.batchObserver(now, BatchInfo{Components: len(comps), Workers: n.flushWorkers})
 	}
-	if n.batchWorkers > 1 && len(comps) > 1 {
-		n.flushParallel(comps, now)
-	} else {
+	// Old rates for the rate observer must be captured before any solve
+	// runs: one flat buffer with per-component offsets.
+	if n.observer != nil {
+		n.rateOff = append(n.rateOff[:0], 0)
+		n.oldRates = n.oldRates[:0]
 		for _, c := range comps {
-			c.pendEvents = 0
-			n.rebalanceComp(c, now, c.pendTrig)
+			for _, f := range c.flows {
+				n.oldRates = append(n.oldRates, f.rate)
+			}
+			n.rateOff = append(n.rateOff, len(n.oldRates))
 		}
 	}
-	for i := range comps {
+	if n.flushWorkers > 1 && len(comps) > 1 {
+		n.solveParallel(comps)
+	} else {
+		for _, c := range comps {
+			n.solveComp(&n.sv, c, true)
+		}
+	}
+	for i, c := range comps {
+		n.finishComp(c, i, now)
 		comps[i] = nil
 	}
 }
@@ -184,46 +174,13 @@ func insertionSortByID(comps []*component) {
 	}
 }
 
-// flushParallel runs the batch's component solves on up to
-// n.batchWorkers goroutines, then replays the finish phase serially in
-// component-id order. The solve phase touches only component-local state
-// (flow rates, resource loads, the component's trajectory) plus a
-// per-worker solver and stats sink, so the only cross-goroutine
-// coordination is the work-stealing counter. Per-component outcomes
-// (warm-start hit, pass counts) are captured by slot so the serial finish
-// emits exactly what the serial flush would have.
-func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
-	if cap(n.warmDone) < len(comps) {
-		n.warmDone = make([]bool, len(comps))
-		n.hierOf = make([]bool, len(comps))
-		n.livePasses = make([]int, len(comps))
-		n.replayedOf = make([]int, len(comps))
-		n.groupsOf = make([]int, len(comps))
-	}
-	warmDone := n.warmDone[:len(comps)]
-	hierOf := n.hierOf[:len(comps)]
-	livePasses := n.livePasses[:len(comps)]
-	replayed := n.replayedOf[:len(comps)]
-	groupsOf := n.groupsOf[:len(comps)]
-	// Old rates for the rate observer must be captured before any solve
-	// runs; one flat buffer with per-component offsets replaces the serial
-	// path's per-rebalance capture.
-	var rateOff []int
-	if n.observer != nil {
-		rateOff = append(n.rateOff[:0], 0)
-		rates := n.batchRates[:0]
-		for _, c := range comps {
-			for _, f := range c.flows {
-				rates = append(rates, f.rate)
-			}
-			rateOff = append(rateOff, len(rates))
-		}
-		n.rateOff, n.batchRates = rateOff, rates
-	}
-	workers := n.batchWorkers
-	if workers > len(comps) {
-		workers = len(comps)
-	}
+// solveParallel runs the batch's component solves on up to
+// n.flushWorkers goroutines. A solve touches only component-local state
+// (flow rates, resource loads, the component's trajectory and outcome)
+// plus a per-worker solver and stats shard, so the only cross-goroutine
+// coordination is the work-stealing counter.
+func (n *Network) solveParallel(comps []*component) {
+	workers := min(n.flushWorkers, len(comps))
 	recordStats := n.stats != nil
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -232,7 +189,6 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 		go func(w int) {
 			defer wg.Done()
 			sv := &n.psv[w]
-			sv.indexed = true
 			if recordStats {
 				n.workerStats[w] = Stats{}
 				sv.stats = &n.workerStats[w]
@@ -244,45 +200,12 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 				if i >= len(comps) {
 					return
 				}
-				c := comps[i]
-				var solveStart time.Time
-				if recordStats {
-					solveStart = time.Now()
-				}
-				sv.lastGroups = 0
-				done := false
-				if c.departed.f != nil && c.traj.valid {
-					done = sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, &c.departed)
-				}
-				c.traj.valid = false
-				hier := false
-				if !done {
-					sv.lastReplayed = 0
-					if n.hier != nil {
-						// Internal parallelism stays off here — the flush
-						// workers already own the cores — and trySolve's
-						// mutex serializes the shared partition scratch.
-						// The outcome is identical either way: neither the
-						// worker count nor the solve order changes the
-						// hierarchical arithmetic.
-						hier = n.hier.trySolve(c, sv, sv.stats, false)
-					}
-					if !hier {
-						rec := &c.traj
-						if len(c.flows) < recordMinFlows {
-							rec = nil
-						}
-						sv.solve(c.flows, c.resources, c.capped, rec)
-					}
-				}
-				if recordStats {
-					sv.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
-				}
-				warmDone[i] = done
-				hierOf[i] = hier
-				livePasses[i] = sv.lastLive
-				replayed[i] = sv.lastReplayed
-				groupsOf[i] = sv.lastGroups
+				// Internal hierarchical parallelism stays off here — the
+				// flush workers already own the cores — and trySolve's
+				// mutex serializes the shared partition scratch. Neither
+				// the worker count nor the solve order changes the
+				// hierarchical arithmetic.
+				n.solveComp(sv, comps[i], false)
 			}
 		}(w)
 	}
@@ -297,46 +220,98 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 			n.stats.merge(&n.workerStats[w])
 		}
 	}
-	// Serial finish in component-id order: completion events, observers
-	// and stats come out exactly as the serial flush emits them.
-	for i, c := range comps {
-		warm := c.departed.f != nil
-		c.pendEvents = 0
-		c.departed.clear()
-		if n.stats != nil {
-			n.stats.Solves[c.pendTrig]++
-			n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
-			if warm {
-				if warmDone[i] {
-					n.stats.WarmHits++
-					n.stats.WarmReplayedPasses += uint64(replayed[i])
-				} else {
-					n.stats.WarmMisses++
-				}
+}
+
+// solveComp recomputes fair-share rates for one dirty component with sv,
+// recording the outcome in c.solved for finishComp. When c.departed holds
+// a flow whose departure is the only change since c's last solve, it tries
+// the warm-start path, replaying the recorded freeze trajectory's
+// unaffected prefix instead of re-solving from scratch. Either way the
+// rates are bit-identical to a cold solve. In steady state (buffers warmed
+// up) this performs zero heap allocations.
+func (n *Network) solveComp(sv *solver, c *component, hierPar bool) {
+	// Wall-clock solve latency is recorded only when stats are attached
+	// (one time.Now() pair per solve) and exported under the runtime/
+	// namespace; it never feeds back into simulation arithmetic.
+	var solveStart time.Time
+	if sv.stats != nil {
+		solveStart = time.Now()
+	}
+	sv.indexed = true
+	sv.lastGroups = 0
+	o := solveOutcome{warm: c.departed.f != nil}
+	if o.warm && c.traj.valid {
+		o.warmHit = sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, &c.departed)
+	}
+	// Whatever happens next, the last recorded trajectory no longer
+	// matches the component: a warm start consumed it, and a cold solve
+	// either re-records it or (below the size cutoff) leaves it stale.
+	c.traj.valid = false
+	if !o.warmHit {
+		sv.lastReplayed = 0
+		if n.hier != nil {
+			o.hier = n.hier.trySolve(c, sv, sv.stats, hierPar)
+		}
+		if !o.hier {
+			rec := &c.traj
+			if len(c.flows) < recordMinFlows {
+				// Recording exists to amortize big solves across removals;
+				// on small components the per-pass load snapshots cost more
+				// than a cold re-solve, so skip both recording and (by the
+				// invalidation above) any future warm start.
+				rec = nil
+			}
+			sv.solve(c.flows, c.resources, c.capped, rec)
+		}
+	}
+	if sv.stats != nil {
+		sv.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
+	}
+	o.live, o.replayed, o.groups = sv.lastLive, sv.lastReplayed, sv.lastGroups
+	c.solved = o
+}
+
+// finishComp is the serial tail of a component's flush solve: it
+// reschedules every completion event of c (and no other component's),
+// then emits stats and observer callbacks. i is c's slot in the flush
+// batch, indexing the observer's captured old rates.
+func (n *Network) finishComp(c *component, i int, now simkernel.Time) {
+	o := c.solved
+	c.pendEvents = 0
+	c.departed.clear()
+	if n.stats != nil {
+		n.stats.Solves[c.pendTrig]++
+		n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
+		if o.warm {
+			if o.warmHit {
+				n.stats.WarmHits++
+				n.stats.WarmReplayedPasses += uint64(o.replayed)
+			} else {
+				n.stats.WarmMisses++
 			}
 		}
-		for j, f := range c.flows {
-			n.scheduleCompletion(f, now)
-			if n.observer != nil && f.rate != n.batchRates[rateOff[i]+j] {
-				n.observer(now, f, f.rate)
-			}
+	}
+	for j, f := range c.flows {
+		n.scheduleCompletion(f, now)
+		if n.observer != nil && f.rate != n.oldRates[n.rateOff[i]+j] {
+			n.observer(now, f, f.rate)
 		}
-		if n.resObserver != nil {
-			for _, r := range c.resources {
-				n.resObserver(now, r, r.load)
-			}
+	}
+	if n.resObserver != nil {
+		for _, r := range c.resources {
+			n.resObserver(now, r, r.load)
 		}
-		if n.solveObserver != nil {
-			n.solveObserver(now, SolveInfo{
-				Trigger:        c.pendTrig,
-				Flows:          len(c.flows),
-				Resources:      len(c.resources),
-				LivePasses:     livePasses[i],
-				WarmStart:      warmDone[i],
-				ReplayedPasses: replayed[i],
-				Hierarchical:   hierOf[i],
-				Groups:         groupsOf[i],
-			})
-		}
+	}
+	if n.solveObserver != nil {
+		n.solveObserver(now, SolveInfo{
+			Trigger:        c.pendTrig,
+			Flows:          len(c.flows),
+			Resources:      len(c.resources),
+			LivePasses:     o.live,
+			WarmStart:      o.warmHit,
+			ReplayedPasses: o.replayed,
+			Hierarchical:   o.hier,
+			Groups:         o.groups,
+		})
 	}
 }

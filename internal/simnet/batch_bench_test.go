@@ -8,12 +8,11 @@ import (
 )
 
 // manyCompNet builds comps disjoint 4-flow components (one shared
-// resource plus a private one per flow, infinite volumes) under batching
-// with a serial flush, warmed so steady-state flushes do not allocate.
+// resource plus a private one per flow, infinite volumes) with a serial
+// flush, warmed so steady-state flushes do not allocate.
 func manyCompNet(comps int) (*simkernel.Simulation, *Network, []*Resource) {
 	sim := simkernel.New()
 	net := New(sim)
-	net.SetBatching(1)
 	shared := make([]*Resource, comps)
 	for c := range shared {
 		shared[c] = net.AddResource(fmt.Sprintf("g%03d/s", c), 200+float64(c%7)*50)
@@ -62,17 +61,14 @@ func benchmarkSolveManyComponents(b *testing.B, comps int) {
 func BenchmarkSolveManyComponents64(b *testing.B)  { benchmarkSolveManyComponents(b, 64) }
 func BenchmarkSolveManyComponents256(b *testing.B) { benchmarkSolveManyComponents(b, 256) }
 
-// benchmarkEventBatchRamp measures the tentpole's motivating storm: 64
-// same-instant flow starts on one shared ramp resource. Unbatched, every
-// start re-solves the whole ramp component (O(clients) solves per
-// instant); batched, the instant costs one solve. Each iteration starts
-// the wave, drains, aborts it and drains again, so both modes do the same
-// membership work and differ only in solve cadence.
-func benchmarkEventBatchRamp(b *testing.B, workers int) {
+// benchmarkEventBatchRamp measures the storm same-instant batching
+// collapses: 64 same-instant flow starts on one shared ramp resource cost
+// one solve of the ramp component, not one per start. Each iteration
+// starts the wave, drains, aborts it and drains again.
+func benchmarkEventBatchRamp(b *testing.B) {
 	const clients = 64
 	sim := simkernel.New()
 	net := New(sim)
-	net.SetBatching(workers)
 	ramp := net.AddResource("ramp", 1000)
 	own := make([]*Resource, clients)
 	for i := range own {
@@ -99,6 +95,5 @@ func benchmarkEventBatchRamp(b *testing.B, workers int) {
 }
 
 func BenchmarkEventBatchRamp(b *testing.B) {
-	b.Run("unbatched", func(b *testing.B) { benchmarkEventBatchRamp(b, 0) })
-	b.Run("batched", func(b *testing.B) { benchmarkEventBatchRamp(b, 1) })
+	b.Run("batched", benchmarkEventBatchRamp)
 }

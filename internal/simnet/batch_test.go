@@ -12,12 +12,12 @@ import (
 
 // rampWorld builds the shape batching exists for: n flows sharing one
 // ramp resource (plus a private resource each), all started at the same
-// instant — the t=0 client-ramp storm that costs the unbatched path one
-// full-component solve per start.
+// instant — the t=0 client-ramp storm that would cost an event-at-a-time
+// solver one full-component solve per start.
 func rampWorld(n int, workers int) (*simkernel.Simulation, *Network, []*Flow) {
 	sim := simkernel.New()
 	net := New(sim)
-	net.SetBatching(workers)
+	net.SetFlushWorkers(workers)
 	ramp := net.AddResource("ramp", 1000)
 	flows := make([]*Flow, n)
 	for i := range flows {
@@ -33,41 +33,43 @@ func rampWorld(n int, workers int) (*simkernel.Simulation, *Network, []*Flow) {
 	return sim, net, flows
 }
 
-// TestBatchRampSolvesOncePerInstant is the tentpole's headline claim in
-// miniature: a shared ramp starting N flows at one instant costs the
-// unbatched path N full-component solves, the batched path one — with
-// bit-identical rates and completion times.
+// TestBatchRampSolvesOncePerInstant is the batching claim in miniature: a
+// shared ramp starting N flows at one instant costs one full-component
+// solve, not one per start, and that solve's rates match the reference
+// waterfill at 0 ULP. The completion instants are identical at one and
+// at four flush workers.
 func TestBatchRampSolvesOncePerInstant(t *testing.T) {
 	const n = 64
-	run := func(workers int) ([]uint64, Stats, uint64) {
+	run := func(workers int) []uint64 {
 		sim, net, flows := rampWorld(n, workers)
 		var st Stats
 		net.SetStats(&st)
+		if err := sim.RunUntil(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Solves[TriggerStart]; got != 1 {
+			t.Fatalf("start solves at t=0 = %d, want 1 (one per instant)", got)
+		}
+		if st.SolveBatches != 1 || st.ComponentsDirty != 1 {
+			t.Fatalf("batch stats at t=0: %d batches, %d dirty components, want 1/1", st.SolveBatches, st.ComponentsDirty)
+		}
+		verifyNet(t, net)
+		done := make([]uint64, n)
+		for i, f := range flows {
+			f.OnComplete = func(at simkernel.Time) { done[i] = math.Float64bits(float64(at)) }
+		}
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		state := make([]uint64, 0, 2*n)
 		for _, f := range flows {
 			if !f.Done() {
 				t.Fatalf("flow %s did not finish", f.Name)
 			}
-			state = append(state, math.Float64bits(float64(f.Started())), math.Float64bits(f.rate))
 		}
-		return state, st, sim.Executed()
+		return done
 	}
-	seqState, seqStats, _ := run(0)
-	batState, batStats, _ := run(1)
-	if !reflect.DeepEqual(seqState, batState) {
-		t.Fatal("batched final state diverged from sequential")
-	}
-	if got := seqStats.Solves[TriggerStart]; got != n {
-		t.Fatalf("unbatched start solves = %d, want %d (one per event)", got, n)
-	}
-	if got := batStats.Solves[TriggerStart]; got != 1 {
-		t.Fatalf("batched start solves = %d, want 1 (one per instant)", got)
-	}
-	if batStats.SolveBatches == 0 || batStats.ComponentsDirty == 0 {
-		t.Fatalf("batch stats not recorded: %+v", batStats)
+	if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+		t.Fatal("completion instants differ between 1 and 4 flush workers")
 	}
 }
 
@@ -81,7 +83,7 @@ func TestBatchedParallelBitIdentical(t *testing.T) {
 	run := func(workers int) ([]string, Stats) {
 		sim := simkernel.New()
 		net := New(sim)
-		net.SetBatching(workers)
+		net.SetFlushWorkers(workers)
 		var st Stats
 		net.SetStats(&st)
 		var log []string
@@ -165,13 +167,14 @@ func TestBatchObserver(t *testing.T) {
 
 // TestBatchedMidInstantCompletionGuard pins the stale-prediction guard: a
 // completion event derived from pre-batch rates that fires in the same
-// instant as a capacity cut must not complete the flow early — the flush
-// re-derives the instant from the fresh rates.
+// instant as a capacity cut must not complete the flow on the stale
+// prediction — the flush re-derives the instant from the fresh rates. The
+// flow has sent its whole volume by then, so it completes at exactly t=1.
 func TestBatchedMidInstantCompletionGuard(t *testing.T) {
 	run := func(workers int) (doneAt simkernel.Time) {
 		sim := simkernel.New()
 		net := New(sim)
-		net.SetBatching(workers)
+		net.SetFlushWorkers(workers)
 		link := net.AddResource("link", 100)
 		f := &Flow{
 			Name:   "f",
@@ -191,40 +194,48 @@ func TestBatchedMidInstantCompletionGuard(t *testing.T) {
 		}
 		return doneAt
 	}
-	seq := run(0)
-	bat := run(1)
-	if math.Float64bits(float64(seq)) != math.Float64bits(float64(bat)) {
-		t.Fatalf("completion instant differs: sequential %v, batched %v", seq, bat)
+	for _, workers := range []int{1, 2} {
+		if got := run(workers); got != 1 {
+			t.Fatalf("completion at %v with %d flush workers, want exactly 1", got, workers)
+		}
 	}
 }
 
 // TestBatchedIdleCapacityCadence pins the settleRescheduleAll interplay:
-// an idle-resource capacity change in the same instant as flow events
-// must leave state identical to the sequential path.
+// an idle-resource capacity change in the same instant as a flow start
+// must leave the dirty component to the flush. Rates match the reference
+// solver at every instant boundary, and the completion instants are the
+// ones the event-at-a-time solver produced, bit for bit.
 func TestBatchedIdleCapacityCadence(t *testing.T) {
-	run := func(workers int) []uint64 {
+	for _, workers := range []int{1, 2} {
 		sim := simkernel.New()
 		net := New(sim)
-		net.SetBatching(workers)
+		net.SetFlushWorkers(workers)
 		a := net.AddResource("a", 100)
 		idle := net.AddResource("idle", 10)
-		f := &Flow{Name: "f", Volume: 60, Usage: map[*Resource]float64{a: 1}}
-		g := &Flow{Name: "g", Volume: 45, Usage: map[*Resource]float64{a: 1}}
+		var fDone, gDone simkernel.Time
+		f := &Flow{Name: "f", Volume: 60, Usage: map[*Resource]float64{a: 1},
+			OnComplete: func(at simkernel.Time) { fDone = at }}
+		g := &Flow{Name: "g", Volume: 45, Usage: map[*Resource]float64{a: 1},
+			OnComplete: func(at simkernel.Time) { gDone = at }}
 		sim.At(0, func() { net.Start(f) })
 		// Same instant: a start (dirties f's component) and an idle-
 		// resource capacity change (settle-reschedule path).
 		sim.At(0.5, func() { net.Start(g) })
 		sim.At(0.5, func() { net.SetCapacity(idle, 75) })
-		if err := sim.Run(); err != nil {
-			t.Fatal(err)
+		for {
+			at, ok := sim.NextAt()
+			if !ok {
+				break
+			}
+			if err := sim.RunUntil(at); err != nil {
+				t.Fatal(err)
+			}
+			verifyNet(t, net)
 		}
-		return []uint64{
-			math.Float64bits(f.Remaining()), math.Float64bits(g.Remaining()),
-			math.Float64bits(float64(sim.Now())),
+		if fDone != 0.7 || gDone != 1.0499999999999998 {
+			t.Fatalf("%d flush workers: completions at %v/%v, want 0.7/1.0499999999999998", workers, fDone, gDone)
 		}
-	}
-	if seq, bat := run(0), run(1); !reflect.DeepEqual(seq, bat) {
-		t.Fatalf("idle-capacity cadence diverged: %v vs %v", seq, bat)
 	}
 }
 
@@ -241,7 +252,7 @@ func TestBatchedWarmHintSurvivesFlowReuse(t *testing.T) {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			sim := simkernel.New()
 			net := New(sim)
-			net.SetBatching(workers)
+			net.SetFlushWorkers(workers)
 			var st Stats
 			net.SetStats(&st)
 			// Enough flows for the solve to record its trajectory. The NICs
@@ -305,8 +316,11 @@ func TestBatchedWarmHintSurvivesFlowReuse(t *testing.T) {
 	}
 }
 
-// TestSetBatchingGuards checks the mode-change preconditions.
-func TestSetBatchingGuards(t *testing.T) {
+// TestSetFlushWorkersGuards checks the worker-count preconditions: a
+// count below one panics, the count may not change while flows are in
+// flight or a flush is pending, and the forceGlobal test mode accepts any
+// legal count.
+func TestSetFlushWorkersGuards(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -318,17 +332,25 @@ func TestSetBatchingGuards(t *testing.T) {
 	}
 	sim := simkernel.New()
 	net := New(sim)
-	expectPanic("negative workers", func() { net.SetBatching(-1) })
+	if net.flushWorkers != 1 {
+		t.Fatalf("default flush workers = %d, want 1", net.flushWorkers)
+	}
+	expectPanic("negative workers", func() { net.SetFlushWorkers(-1) })
+	expectPanic("zero workers", func() { net.SetFlushWorkers(0) })
 	gl := New(sim)
 	gl.forceGlobal = true
-	expectPanic("forceGlobal", func() { gl.SetBatching(1) })
+	gl.SetFlushWorkers(2)
 	r := net.AddResource("r", 10)
 	f := &Flow{Name: "f", Volume: 5, Usage: map[*Resource]float64{r: 1}}
 	net.Start(f)
-	expectPanic("mid-flight", func() { net.SetBatching(2) })
+	expectPanic("mid-flight", func() { net.SetFlushWorkers(2) })
 	net.Abort(f)
-	net.SetBatching(2) // legal again once nothing is in flight
-	if net.Batching() != 2 {
-		t.Fatalf("Batching() = %d, want 2", net.Batching())
+	expectPanic("flush pending", func() { net.SetFlushWorkers(2) })
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	net.SetFlushWorkers(2) // legal again once nothing is in flight
+	if net.flushWorkers != 2 {
+		t.Fatalf("flush workers = %d, want 2", net.flushWorkers)
 	}
 }

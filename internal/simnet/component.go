@@ -64,14 +64,25 @@ type component struct {
 	// single flow detached since the last one (empty when there is none).
 	departed departure
 
-	// Batched-mode bookkeeping (see batch.go). dirty marks the component
-	// as awaiting its once-per-instant solve; pendEvents counts the events
+	// Batching bookkeeping (see batch.go). dirty marks the component as
+	// awaiting its once-per-instant solve; pendEvents counts the events
 	// that touched it this instant (departed is kept only while it is 1);
 	// pendTrig is the trigger of the event that first dirtied the
-	// component, for stats classification.
+	// component, for stats classification; solved carries the flush
+	// solve's outcome from the (possibly parallel) solve to the serial
+	// finish.
 	dirty      bool
 	pendEvents int
 	pendTrig   SolveTrigger
+	solved     solveOutcome
+}
+
+// solveOutcome is what one flush solve reports to the stats and solve
+// observers: whether a warm-start hint was present and taken, whether the
+// hierarchical path ran, and the pass and group counts.
+type solveOutcome struct {
+	warm, warmHit, hier    bool
+	live, replayed, groups int
 }
 
 // flowBefore is the canonical in-component flow order: by name, then by

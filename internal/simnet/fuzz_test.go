@@ -89,11 +89,14 @@ type fzWorld struct {
 	log     []string
 }
 
-func buildWorld(sc fzScenario, forceGlobal bool, batchWorkers int, onOp func(w *fzWorld)) *fzWorld {
+// buildWorld constructs a world running sc's script; forceGlobal keeps
+// every flow in one component and flushWorkers is the flush solver pool
+// width.
+func buildWorld(sc fzScenario, forceGlobal bool, flushWorkers int) *fzWorld {
 	w := &fzWorld{sim: simkernel.New()}
 	w.net = New(w.sim)
 	w.net.forceGlobal = forceGlobal
-	w.net.SetBatching(batchWorkers)
+	w.net.SetFlushWorkers(flushWorkers)
 	for i, c := range sc.caps {
 		w.res = append(w.res, w.net.AddResource(fmt.Sprintf("r%d", i), c))
 	}
@@ -102,12 +105,7 @@ func buildWorld(sc fzScenario, forceGlobal bool, batchWorkers int, onOp func(w *
 	})
 	for _, op := range sc.ops {
 		op := op
-		w.sim.At(op.at, func() {
-			w.apply(sc, op)
-			if onOp != nil {
-				onOp(w)
-			}
-		})
+		w.sim.At(op.at, func() { w.apply(sc, op) })
 	}
 	return w
 }
@@ -155,7 +153,8 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 	}
 }
 
-// verifyNet is the incremental-path oracle, run after every script op:
+// verifyNet is the incremental-path oracle, run at instant boundaries
+// (mid-instant, a dirty component's rates await the flush):
 //
 //  1. Membership: components must partition the active flows; each
 //     component's registries must be sorted, mutually consistent and
@@ -318,7 +317,9 @@ func verifyNet(t *testing.T, n *Network) {
 // count stays bounded. All flows start up front (cold solves over a
 // growing set), then the run drains through completions — every other
 // one a warm start — with deterministic mid-run aborts; verifyNet
-// re-checks rates against the reference solver at 0 ULP at checkpoints.
+// re-checks rates against the reference solver at 0 ULP at checkpoints,
+// each taken at the first instant boundary after every nFlows/6
+// completions.
 func FuzzSolveLargeSingleComponent(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x03, 0x01, 0x07, 0x13, 0x2a, 0x05, 0x19, 0x40, 0x77, 0x02})
 	f.Add([]byte{0x09, 0x01, 0x05, 0x02, 0x61, 0x0e, 0x55, 0x23, 0x31, 0x12, 0x43, 0x09, 0x28, 0x16})
@@ -344,6 +345,7 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 	flows := make([]*Flow, nFlows)
 	completed := 0
 	checkEvery := nFlows / 6
+	checkDue := false
 	for i := range flows {
 		b := int(data[(5+i)%len(data)])
 		f := &Flow{
@@ -359,25 +361,38 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 		}
 		f.OnComplete = func(simkernel.Time) {
 			completed++
-			if completed%checkEvery != 0 {
-				return
-			}
-			verifyNet(t, net)
-			// Abort one survivor so the abort-side warm start runs at
-			// scale too.
-			for _, g := range flows {
-				if g.inNet {
-					net.Abort(g)
-					return
-				}
+			if completed%checkEvery == 0 {
+				checkDue = true
 			}
 		}
 		flows[i] = f
 		net.Start(f)
 	}
-	verifyNet(t, net)
-	if err := sim.Run(); err != nil {
-		t.Fatalf("large topology run: %v", err)
+	for {
+		at, ok := sim.NextAt()
+		if !ok {
+			break
+		}
+		if err := sim.RunUntil(at); err != nil {
+			t.Fatalf("large topology run: %v", err)
+		}
+		if at == 0 {
+			verifyNet(t, net)
+			continue
+		}
+		if !checkDue {
+			continue
+		}
+		checkDue = false
+		verifyNet(t, net)
+		// Abort one survivor so the abort-side warm start runs at scale
+		// too.
+		for _, g := range flows {
+			if g.inNet {
+				net.Abort(g)
+				break
+			}
+		}
 	}
 	for _, f := range flows {
 		if f.inNet {
@@ -467,16 +482,57 @@ func runInstantLockstep(t *testing.T, a, b *fzWorld, label string, checkB func()
 	}
 }
 
+// runVerified runs w to completion one virtual instant at a time and
+// applies verifyNet at every instant boundary.
+func runVerified(t *testing.T, w *fzWorld) {
+	t.Helper()
+	for {
+		at, ok := w.sim.NextAt()
+		if !ok {
+			return
+		}
+		if err := w.sim.RunUntil(at); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		verifyNet(t, w.net)
+	}
+}
+
+// compareLogs demands byte-identical observable logs and final per-flow
+// state from two worlds that ran the same script with the same event
+// cadence.
+func compareLogs(t *testing.T, a, b *fzWorld, nameA, nameB string) {
+	t.Helper()
+	if len(a.log) != len(b.log) {
+		t.Fatalf("%s log has %d entries, %s %d\n%s: %v\n%s: %v",
+			nameA, len(a.log), nameB, len(b.log), nameA, a.log, nameB, b.log)
+	}
+	for i := range a.log {
+		if a.log[i] != b.log[i] {
+			t.Fatalf("logs diverge at %d: %s %q, %s %q", i, nameA, a.log[i], nameB, b.log[i])
+		}
+	}
+	for i, fa := range a.started {
+		fb := b.started[i]
+		if math.Float64bits(fa.Rate()) != math.Float64bits(fb.Rate()) ||
+			math.Float64bits(fa.Remaining()) != math.Float64bits(fb.Remaining()) ||
+			fa.Done() != fb.Done() {
+			t.Fatalf("flow %s final state diverged: rate %v vs %v, remaining %v vs %v, done %v vs %v",
+				fa.Name, fa.Rate(), fb.Rate(), fa.Remaining(), fb.Remaining(), fa.Done(), fb.Done())
+		}
+	}
+}
+
 // FuzzBatchedVsSequentialEvents drives same-instant event clusters
-// through three worlds: the event-at-a-time path, the batched path with
-// a serial flush, and the batched path with a fuzzed worker count. The
-// sequential and serial-batched worlds must agree on full flow state at
-// every instant boundary at 0 ULP (verifyNet additionally re-checks the
-// batched world's rates against the retained reference oracle at each
-// boundary, when it is clean). The two batched worlds share the same
-// event cadence, so their complete observable logs — every rate change,
-// completion and abort, float bits spelled out — must be byte-identical:
-// the component-id-ordered merge makes worker count invisible.
+// through the batched event path twice: with the sequential one-worker
+// flush and with a fuzzed flush worker count. At every instant boundary
+// the two worlds must agree on full flow state at 0 ULP, and verifyNet
+// re-checks both against the retained reference oracle — rates to 0 ULP,
+// KKT optimality, completion events at exactly the derived instants. The
+// worlds share the same event cadence, so their complete observable logs
+// — every rate change, completion and abort, float bits spelled out —
+// must also be byte-identical: the component-id-ordered merge makes
+// worker count invisible.
 func FuzzBatchedVsSequentialEvents(f *testing.F) {
 	f.Add([]byte{0x03, 0x10, 0x20, 0x30, 0x01, 0x00, 0x00, 0x04, 0x40, 0x07, 0x00, 0x02, 0x00, 0x00, 0x06, 0x81, 0x05})
 	f.Add([]byte{0x05, 0x08, 0x18, 0x28, 0x38, 0x48, 0x01, 0x00, 0x01, 0x03, 0x22, 0x33, 0x00, 0x44, 0x02, 0x05, 0x07, 0x00, 0x03, 0x06, 0x11})
@@ -490,44 +546,27 @@ func FuzzBatchedVsSequentialEvents(f *testing.F) {
 			return
 		}
 		workers := 2 + int(data[0]%3)
-		seq := buildWorld(sc, false, 0, nil)
-		bat := buildWorld(sc, false, 1, nil)
-		par := buildWorld(sc, false, workers, nil)
-		runInstantLockstep(t, seq, bat, "sequential vs batched", func() { verifyNet(t, bat.net) })
-		if err := par.sim.Run(); err != nil {
-			t.Fatalf("parallel-batched run: %v", err)
-		}
-		if len(bat.log) != len(par.log) {
-			t.Fatalf("serial-batched log has %d entries, %d-worker log %d\nserial: %v\nparallel: %v",
-				len(bat.log), workers, len(par.log), bat.log, par.log)
-		}
-		for i := range bat.log {
-			if bat.log[i] != par.log[i] {
-				t.Fatalf("batched logs diverge at %d with %d workers: %q vs %q", i, workers, bat.log[i], par.log[i])
-			}
-		}
-		for i, fb := range bat.started {
-			fp := par.started[i]
-			if math.Float64bits(fb.Rate()) != math.Float64bits(fp.Rate()) ||
-				math.Float64bits(fb.Remaining()) != math.Float64bits(fp.Remaining()) ||
-				fb.Done() != fp.Done() {
-				t.Fatalf("flow %s final state differs between 1 and %d workers", fb.Name, workers)
-			}
-		}
+		seq := buildWorld(sc, false, 1)
+		par := buildWorld(sc, false, workers)
+		runInstantLockstep(t, seq, par, "1 vs N flush workers", func() {
+			verifyNet(t, seq.net)
+			verifyNet(t, par.net)
+		})
+		compareLogs(t, seq, par, "1-worker", fmt.Sprintf("%d-worker", workers))
 	})
 }
 
 // FuzzIncrementalVsGlobalSolve drives random topologies through random
 // start/abort/SetCapacity scripts and checks the incremental
-// component-scoped engine two ways. Always: after every op, component
-// membership is re-derived from scratch and each component's rates and
-// completion events are re-checked against the retained reference solver
-// (0 ULP). When the decoded scenario routes every flow through a shared
-// resource (one connected component — the shape every campaign has, via
-// the client stack ramp), the same script also runs on a forceGlobal twin
-// network that reproduces the historical always-global solve, and the two
-// worlds' full observable logs — every rate change, completion and abort,
-// with exact float bits — must be identical.
+// component-scoped engine two ways. Always: at every instant boundary,
+// component membership is re-derived from scratch and each component's
+// rates and completion events are re-checked against the retained
+// reference solver (0 ULP). When the decoded scenario routes every flow
+// through a shared resource (one connected component — the shape every
+// campaign has, via the client stack ramp), the same script also runs on
+// a forceGlobal twin network that keeps every flow in one global
+// component, and the two worlds' full observable logs — every rate
+// change, completion and abort, with exact float bits — must be identical.
 func FuzzIncrementalVsGlobalSolve(f *testing.F) {
 	f.Add([]byte{0x03, 0x10, 0x20, 0x30, 0x01, 0x00, 0x04, 0x40, 0x07, 0x02, 0x00, 0x06, 0x81, 0x05})
 	f.Add([]byte{0x05, 0x08, 0x18, 0x28, 0x38, 0x48, 0x00, 0x01, 0x03, 0x22, 0x33, 0x44, 0x02, 0x05, 0x07, 0x03, 0x06, 0x11})
@@ -538,36 +577,15 @@ func FuzzIncrementalVsGlobalSolve(f *testing.F) {
 		if len(sc.ops) == 0 {
 			return
 		}
-		inc := buildWorld(sc, false, 0, func(w *fzWorld) { verifyNet(t, w.net) })
-		if err := inc.sim.Run(); err != nil {
-			t.Fatalf("incremental run: %v", err)
-		}
-		verifyNet(t, inc.net)
-
+		inc := buildWorld(sc, false, 1)
+		runVerified(t, inc)
 		if !sc.shared {
 			return
 		}
-		ref := buildWorld(sc, true, 0, nil)
+		ref := buildWorld(sc, true, 1)
 		if err := ref.sim.Run(); err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
-		if len(inc.log) != len(ref.log) {
-			t.Fatalf("incremental log has %d entries, global reference %d\ninc: %v\nref: %v",
-				len(inc.log), len(ref.log), inc.log, ref.log)
-		}
-		for i := range inc.log {
-			if inc.log[i] != ref.log[i] {
-				t.Fatalf("log diverges at %d: incremental %q, global reference %q", i, inc.log[i], ref.log[i])
-			}
-		}
-		for i, fi := range inc.started {
-			fr := ref.started[i]
-			if math.Float64bits(fi.Rate()) != math.Float64bits(fr.Rate()) ||
-				math.Float64bits(fi.Remaining()) != math.Float64bits(fr.Remaining()) ||
-				fi.Done() != fr.Done() {
-				t.Fatalf("flow %s final state diverged: rate %v vs %v, remaining %v vs %v, done %v vs %v",
-					fi.Name, fi.Rate(), fr.Rate(), fi.Remaining(), fr.Remaining(), fi.Done(), fr.Done())
-			}
-		}
+		compareLogs(t, inc, ref, "incremental", "global reference")
 	})
 }

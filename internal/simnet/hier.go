@@ -15,8 +15,9 @@ package simnet
 // Two modes share the partition machinery:
 //
 // Exact mode (SetHierarchical(workers, 0)) runs ONE waterfill whose passes
-// are synchronized across groups — a regrouping of solveReference's
-// arithmetic, not an approximation:
+// are synchronized across groups — a regrouping of the arithmetic of
+// solveReference (the test oracle in reference_test.go), not an
+// approximation:
 //
 //   - Per-resource demand sums: a local (non-separator) resource is used
 //     only by flows of its own group, and a group's flow list is an
@@ -239,8 +240,9 @@ func (n *Network) SetSeparators(rs ...*Resource) {
 // residual is reported via Stats.HierMaxRelErr and never exceeds the
 // bound (non-convergent components re-run exactly).
 //
-// Like SetBatching, the mode may only change while no flow is in flight,
-// and cannot be combined with the forceGlobal test mode.
+// Like SetFlushWorkers, the mode may only change while no flow is in
+// flight or flush pending; it cannot be combined with the forceGlobal
+// test mode.
 func (n *Network) SetHierarchical(workers int, maxRelErr float64) {
 	if workers < 0 {
 		panic(fmt.Sprintf("simnet: negative hierarchical worker count %d", workers))

@@ -64,12 +64,12 @@ func decodeHierScenario(data []byte) hierScenario {
 // core. hierWorkers > 0 declares the uplinks and core as separators and
 // enables hierarchical solving with the given error bound, lowering the
 // size cutoff to zero so the partition machinery runs on fuzz-sized
-// components; batchWorkers configures same-instant batching as in
+// components; flushWorkers is the flush solver pool width as in
 // buildWorld.
-func buildHierWorld(sc hierScenario, hierWorkers int, maxRelErr float64, batchWorkers int) *fzWorld {
+func buildHierWorld(sc hierScenario, hierWorkers int, maxRelErr float64, flushWorkers int) *fzWorld {
 	w := &fzWorld{sim: simkernel.New()}
 	w.net = New(w.sim)
-	w.net.SetBatching(batchWorkers)
+	w.net.SetFlushWorkers(flushWorkers)
 	for r := 0; r < sc.nRacks; r++ {
 		for l := 0; l < sc.nLocals; l++ {
 			w.res = append(w.res, w.net.AddResource(fmt.Sprintf("rack%d/l%d", r, l), sc.localCap[r*sc.nLocals+l]))
@@ -154,15 +154,14 @@ func applyHier(w *fzWorld, sc hierScenario, op fop) {
 }
 
 // FuzzHierarchicalVsFlatSolve drives random fat-tree scenarios through
-// the flat solver and the exact hierarchical solver and demands bitwise
-// agreement, two ways. Unbatched: the two worlds run in instant lockstep
-// and must agree on every flow's rate, remaining volume and liveness at
-// 0 ULP at every instant boundary; verifyNet additionally re-solves the
-// hierarchical world's components with the retained reference oracle at
-// each boundary. Batched: a serial-flush flat world and a parallel-flush
-// hierarchical world share the same event cadence, so their complete
-// observable logs — every rate change, completion and abort, float bits
-// spelled out — must be byte-identical.
+// the flat solver (serial flush) and the exact hierarchical solver
+// (parallel flush) and demands bitwise agreement, two ways. The two worlds
+// run in instant lockstep and must agree on every flow's rate, remaining
+// volume and liveness at 0 ULP at every instant boundary, where verifyNet
+// additionally re-solves the hierarchical world's components with the
+// retained reference oracle. And since both share the same event cadence,
+// their complete observable logs — every rate change, completion and
+// abort, float bits spelled out — must be byte-identical.
 func FuzzHierarchicalVsFlatSolve(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x10, 0x20, 0x30, 0x15, 0x08, 0x0c, 0x00, 0x04, 0x41, 0x07, 0x13, 0x00, 0x02, 0x25, 0x33, 0x04, 0x12, 0x60, 0x09})
 	f.Add([]byte{0x02, 0x00, 0x01, 0x05, 0x09, 0x11, 0x22, 0x07, 0x00, 0x00, 0x81, 0x3f, 0x06, 0x02, 0x00, 0x17, 0x28, 0x00, 0x01, 0x44, 0x55, 0x66, 0x04, 0x77, 0x1f})
@@ -177,27 +176,10 @@ func FuzzHierarchicalVsFlatSolve(f *testing.F) {
 			return
 		}
 		workers := 1 + int(data[0]%4)
-		flat := buildHierWorld(sc, 0, 0, 0)
-		hier := buildHierWorld(sc, workers, 0, 0)
+		flat := buildHierWorld(sc, 0, 0, 1)
+		hier := buildHierWorld(sc, workers, 0, 2+int(data[0]%3))
 		runInstantLockstep(t, flat, hier, "flat vs hierarchical", func() { verifyNet(t, hier.net) })
-
-		batFlat := buildHierWorld(sc, 0, 0, 1)
-		batHier := buildHierWorld(sc, workers, 0, 2+int(data[0]%3))
-		if err := batFlat.sim.Run(); err != nil {
-			t.Fatalf("batched flat run: %v", err)
-		}
-		if err := batHier.sim.Run(); err != nil {
-			t.Fatalf("batched hierarchical run: %v", err)
-		}
-		if len(batFlat.log) != len(batHier.log) {
-			t.Fatalf("batched flat log has %d entries, hierarchical %d\nflat: %v\nhier: %v",
-				len(batFlat.log), len(batHier.log), batFlat.log, batHier.log)
-		}
-		for i := range batFlat.log {
-			if batFlat.log[i] != batHier.log[i] {
-				t.Fatalf("batched logs diverge at %d: flat %q, hierarchical %q", i, batFlat.log[i], batHier.log[i])
-			}
-		}
+		compareLogs(t, flat, hier, "flat", "hierarchical")
 	})
 }
 
@@ -227,9 +209,12 @@ func newHierTestTopo(t *testing.T, workers int, maxRelErr float64, localCap, upC
 	return tp
 }
 
+// start starts a long-running flow and drains the instant's flush, so
+// the flow's component is solved before start returns.
 func (tp *hierTestTopo) start(name string, usage map[*Resource]float64) *Flow {
 	f := &Flow{Name: name, Volume: 1e6, Usage: usage}
 	tp.net.Start(f)
+	tp.sim.RunUntil(tp.sim.Now())
 	return f
 }
 

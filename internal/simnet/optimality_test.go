@@ -85,7 +85,7 @@ func TestSolveOptimalityKKT(t *testing.T) {
 	// reference at 0 ULP. This is the separator-topology extension of the
 	// sweep below: the resources are Network-registered (the hierarchical
 	// solver needs the separator flags and user indexes), and the solve
-	// under test is the one Start triggers.
+	// under test is the one the starts' flush runs.
 	t.Run("uplinkCoupled", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		for cse := 0; cse < 120; cse++ {
@@ -138,6 +138,7 @@ func TestSolveOptimalityKKT(t *testing.T) {
 				flows[i] = f
 				net.Start(f)
 			}
+			sim.RunUntil(0) // the t=0 flush solves the started components
 			verifyKKT(t, flows, resources)
 			want := make([]uint64, nFlows)
 			for i, f := range flows {

@@ -20,10 +20,8 @@ package simnet
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/simkernel"
 )
@@ -338,11 +336,13 @@ func (f *Flow) buildUses() {
 // The in-flight state is kept in persistent, incrementally maintained
 // sorted registries, partitioned into connected components of the
 // flow↔resource graph. An event (flow start, completion, abort, capacity
-// change) settles, re-solves and reschedules only the component it
-// touches; every other component's rates, unsent volumes and completion
-// events are left untouched. Steady-state rebalancing performs no heap
-// allocations: no map collection, no per-call sorting, and completion
-// events are rescheduled in place rather than reallocated.
+// change) settles the component it touches and marks it dirty; one flush
+// per virtual instant re-solves each dirty component once and reschedules
+// its completion events (see batch.go). Every other component's rates,
+// unsent volumes and completion events are left untouched. Steady-state
+// rebalancing performs no heap allocations: no map collection, no
+// per-call sorting, and completion events are rescheduled in place rather
+// than reallocated.
 type Network struct {
 	sim       *simkernel.Simulation
 	resources []*Resource
@@ -357,9 +357,6 @@ type Network struct {
 
 	// compPool recycles emptied component structs.
 	compPool []*component
-
-	// oldRates is observer scratch reused across rebalances.
-	oldRates []float64
 
 	// Scratch buffers for component merge, rebuild and Start, reused
 	// across events so the steady state stays off the allocator.
@@ -388,28 +385,23 @@ type Network struct {
 	// solved by partition; everything else falls back to sv.
 	hier *hierState
 
-	// Batched-mode state (see batch.go). batchWorkers > 0 enables
-	// same-instant event batching; > 1 additionally fans independent dirty
-	// components over that many solver goroutines at flush time.
-	batchWorkers int
+	// Same-instant batching state (see batch.go). flushWorkers > 1 fans
+	// independent dirty components over that many solver goroutines at
+	// flush time.
+	flushWorkers int
 	nextCompID   uint64
 	dirtyComps   []*component
 	flushComps   []*component
 	flushEvent   *simkernel.Event
 	flushArmed   bool
-	flushFn      func()
-	// Parallel-flush scratch: per-worker solvers (+ private stats merged
-	// after the join) and per-component solve outcomes, all indexed so the
-	// serial finish phase replays them in component-id order.
+	// Parallel-flush scratch: per-worker solvers, each with a private
+	// stats shard merged after the join.
 	psv         []solver
 	workerStats []Stats
-	warmDone    []bool
-	hierOf      []bool
-	livePasses  []int
-	replayedOf  []int
-	groupsOf    []int
-	batchRates  []float64
-	rateOff     []int
+	// oldRates is the rate observer's pre-flush snapshot of every flushed
+	// flow's rate, rateOff[i] the offset of the i-th flushed component.
+	oldRates []float64
+	rateOff  []int
 
 	batchObserver func(at simkernel.Time, info BatchInfo)
 
@@ -440,7 +432,7 @@ func (n *Network) Observe(fn func(at simkernel.Time, f *Flow, rate float64)) {
 
 // New creates an empty network bound to the simulation clock.
 func New(sim *simkernel.Simulation) *Network {
-	return &Network{sim: sim}
+	return &Network{sim: sim, flushWorkers: 1}
 }
 
 // AddResource registers a resource with the given capacity (MiB/s).
@@ -453,11 +445,11 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 	return r
 }
 
-// SetCapacity changes a resource's capacity and immediately re-balances
-// the connected component of flows riding it; flows in other components
-// are not settled, re-solved or rescheduled. Used by the storage model
-// when the number of active targets on a host changes (concave controller
-// capacity) and by the interference injector.
+// SetCapacity changes a resource's capacity and marks the connected
+// component of flows riding it for the instant's re-solve; flows in other
+// components are not settled, re-solved or rescheduled. Used by the
+// storage model when the number of active targets on a host changes
+// (concave controller capacity) and by the interference injector.
 func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	if capacity < 0 {
 		panic(fmt.Sprintf("simnet: negative capacity %v for %s", capacity, r.Name))
@@ -482,11 +474,7 @@ func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	now := n.sim.Now()
 	n.settleComp(r.comp, now)
 	r.capacity = capacity
-	if n.batchWorkers > 0 {
-		n.markDirty(r.comp, nil, TriggerCapacity)
-		return
-	}
-	n.rebalanceComp(r.comp, now, TriggerCapacity)
+	n.markDirty(r.comp, nil, TriggerCapacity)
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -533,8 +521,9 @@ func (n *Network) release(f *Flow) {
 // positive volume, which would never finish.
 //
 // Start unions the components of every resource the flow touches into
-// one, settles and re-solves that merged component, and leaves all other
-// components alone.
+// one, settles that merged component and marks it for the instant's
+// re-solve, and leaves all other components alone. The flow's rate is
+// assigned when the flush at the current instant runs.
 func (n *Network) Start(f *Flow) {
 	if f.Volume < 0 {
 		panic("simnet: negative flow volume")
@@ -556,8 +545,8 @@ func (n *Network) Start(f *Flow) {
 	n.nextSeq++
 	// Settle the components about to merge, rebuilding stale ones whose
 	// accumulated removals have earned an O(component) union-find pass;
-	// rebuild fragments that do not carry any of f's resources re-solve
-	// immediately and take no further part in the start.
+	// rebuild fragments that do not carry any of f's resources join the
+	// instant's batch and take no further part in the start.
 	n.collectStartComps(f)
 	for _, c := range n.startComps {
 		n.settleComp(c, now)
@@ -578,18 +567,12 @@ func (n *Network) Start(f *Flow) {
 			}
 		}
 		for _, frag := range frags {
-			if frag.mark {
-				continue
-			}
-			if n.batchWorkers > 0 {
-				// Deferred mode: the fragment's solve joins the instant's
-				// batch. A fragment split off a component that was already
-				// dirty inherits its own mark here, so no pending work is
-				// lost across the split.
+			// A fragment split off a component that was already dirty
+			// inherits its own mark here, so no pending work is lost
+			// across the split.
+			if !frag.mark {
 				n.markDirty(frag, nil, TriggerStart)
-				continue
 			}
-			n.rebalanceComp(frag, now, TriggerStart)
 		}
 		for i := range f.uses {
 			if rc := f.uses[i].res.comp; rc != nil {
@@ -624,11 +607,7 @@ func (n *Network) Start(f *Flow) {
 	n.nActive++
 	n.retain(f, target)
 	f.inNet = true
-	if n.batchWorkers > 0 {
-		n.markDirty(target, nil, TriggerStart)
-		return
-	}
-	n.rebalanceComp(target, now, TriggerStart)
+	n.markDirty(target, nil, TriggerStart)
 }
 
 // collectStartComps gathers the distinct live components of f's resources
@@ -652,9 +631,9 @@ func (n *Network) collectStartComps(f *Flow) {
 }
 
 // Abort removes a flow before completion without firing OnComplete. The
-// flow's OnAbort hook (if any) fires after the rest of its component has
-// been re-balanced, with the flow's unsent volume settled to the abort
-// instant. Other components are untouched.
+// flow's OnAbort hook (if any) fires at once, with the flow's unsent
+// volume settled to the abort instant; the rest of its component is
+// re-solved by the instant's flush. Other components are untouched.
 func (n *Network) Abort(f *Flow) {
 	if !f.inNet {
 		return
@@ -671,11 +650,8 @@ func (n *Network) Abort(f *Flow) {
 	}
 	if len(c.flows) == 0 {
 		n.dropComp(c)
-	} else if n.batchWorkers > 0 {
-		n.markDirty(c, f, TriggerAbort)
 	} else {
-		c.departed.record(f, c.traj.valid)
-		n.rebalanceComp(c, now, TriggerAbort)
+		n.markDirty(c, f, TriggerAbort)
 	}
 	if f.OnAbort != nil {
 		f.OnAbort(now)
@@ -794,114 +770,14 @@ func (n *Network) settleRescheduleAll() {
 	}
 	for _, c := range n.comps {
 		if c.dirty {
-			// Batched mode: this component's rates are stale until the
-			// instant's flush re-solves it, and the flush reschedules every
-			// one of its flows from the fresh rates anyway.
+			// This component's rates are stale until the instant's flush
+			// re-solves it, and the flush reschedules every one of its
+			// flows from the fresh rates anyway.
 			continue
 		}
 		for _, f := range c.flows {
 			n.scheduleCompletion(f, now)
 		}
-	}
-}
-
-// rebalanceComp recomputes fair-share rates for one component and
-// reschedules its completion events; completion events of every other
-// component are not touched at all. In steady state (buffers warmed up,
-// every flow already carrying its completion event) this performs zero
-// heap allocations.
-//
-// When c.departed holds a flow whose departure is the only change since
-// c's last solve, the rebalance tries the warm-start path, replaying the
-// recorded freeze trajectory's unaffected prefix instead of re-solving
-// from scratch. Either way the resulting rates are bit-identical to a
-// cold solve, and the hint is consumed.
-func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrigger) {
-	warm := c.departed.f != nil
-	if len(c.flows) == 0 {
-		c.departed.clear()
-		return
-	}
-	if n.observer != nil {
-		if cap(n.oldRates) < len(c.flows) {
-			n.oldRates = make([]float64, len(c.flows))
-		}
-		n.oldRates = n.oldRates[:len(c.flows)]
-		for i, f := range c.flows {
-			n.oldRates[i] = f.rate
-		}
-	}
-	// Wall-clock solve latency is recorded only when stats are attached
-	// (one time.Now() pair per rebalance) and exported under the runtime/
-	// namespace; it never feeds back into simulation arithmetic.
-	var solveStart time.Time
-	if n.stats != nil {
-		solveStart = time.Now()
-	}
-	n.sv.indexed = true
-	n.sv.lastGroups = 0
-	done := false
-	if warm && c.traj.valid {
-		done = n.sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, &c.departed)
-	}
-	c.departed.clear()
-	// Whatever happens next, the last recorded trajectory no longer
-	// matches the component: a warm start consumed it, and a cold solve
-	// either re-records it or (below the size cutoff) leaves it stale.
-	c.traj.valid = false
-	hier := false
-	if !done {
-		n.sv.lastReplayed = 0
-		if n.hier != nil {
-			hier = n.hier.trySolve(c, &n.sv, n.stats, true)
-		}
-		if !hier {
-			rec := &c.traj
-			if len(c.flows) < recordMinFlows {
-				// Recording exists to amortize big solves across removals;
-				// on small components the per-pass load snapshots cost more
-				// than a cold re-solve, so skip both recording and (by the
-				// invalidation above) any future warm start.
-				rec = nil
-			}
-			n.sv.solve(c.flows, c.resources, c.capped, rec)
-		}
-	}
-	if n.stats != nil {
-		n.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
-		n.stats.Solves[trig]++
-		n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
-		if warm {
-			if done {
-				n.stats.WarmHits++
-				n.stats.WarmReplayedPasses += uint64(n.sv.lastReplayed)
-			} else {
-				n.stats.WarmMisses++
-			}
-		}
-	}
-	for i, f := range c.flows {
-		n.scheduleCompletion(f, now)
-		if n.observer != nil && f.rate != n.oldRates[i] {
-			n.observer(now, f, f.rate)
-		}
-	}
-	if n.resObserver != nil {
-		for _, r := range c.resources {
-			n.resObserver(now, r, r.load)
-		}
-	}
-	if n.solveObserver != nil {
-		n.solveObserver(now, SolveInfo{
-			Trigger:        trig,
-			Flows:          len(c.flows),
-			Resources:      len(c.resources),
-			LivePasses:     n.sv.lastLive,
-			WarmStart:      done,
-			ReplayedPasses: n.sv.lastReplayed,
-			Hierarchical:   hier,
-			Groups:         n.sv.lastGroups,
-		})
 	}
 }
 
@@ -937,9 +813,9 @@ func (n *Network) complete(f *Flow) {
 	if !f.inNet {
 		return
 	}
-	if n.batchWorkers > 0 && f.comp != nil && f.comp.dirty {
-		// The completion instant was derived from rates that a pending
-		// batched solve is about to replace, so it cannot be trusted. The
+	if f.comp.dirty {
+		// The completion instant was derived from rates that the pending
+		// flush solve is about to replace, so it cannot be trusted. The
 		// flush reschedules this flow's (now fired) event from the fresh
 		// rates; if the flow really is done it completes right after the
 		// flush, in the same instant.
@@ -956,120 +832,11 @@ func (n *Network) complete(f *Flow) {
 	}
 	if len(c.flows) == 0 {
 		n.dropComp(c)
-	} else if n.batchWorkers > 0 {
-		n.markDirty(c, f, TriggerComplete)
 	} else {
-		c.departed.record(f, c.traj.valid)
-		n.rebalanceComp(c, now, TriggerComplete)
+		n.markDirty(c, f, TriggerComplete)
 	}
 	if f.OnComplete != nil {
 		f.OnComplete(now)
-	}
-}
-
-// solveReference is the textbook waterfill: every pass rescans every
-// flow and every resource. It is kept verbatim as the oracle the
-// incremental solver (solver.go) is differentially tested against — the
-// fuzz harness re-solves components with it and demands 0-ULP agreement.
-// The resources slice must contain every resource touched by the flows;
-// the waterfill reads only the flows and resources it is given, so
-// solving a component in isolation performs bit-for-bit the same
-// floating-point operations as solving it as part of a larger disjoint
-// union whose fill trajectory it leads.
-func solveReference(flows []*Flow, resources []*Resource) {
-	for _, f := range flows {
-		f.frozen = false
-		f.rate = 0
-	}
-	for _, r := range resources {
-		r.load = 0
-	}
-	active := len(flows)
-	fill := 0.0
-	for iter := 0; active > 0 && iter <= len(flows)+len(resources)+1; iter++ {
-		// Per-resource demand of the unfrozen flows.
-		for _, r := range resources {
-			r.sumW = 0
-		}
-		for _, f := range flows {
-			if f.frozen {
-				continue
-			}
-			for i := range f.uses {
-				f.uses[i].res.sumW += f.uses[i].w
-			}
-		}
-		// Maximum additional fill before some resource saturates.
-		delta := math.Inf(1)
-		var bottleneck *Resource
-		for _, r := range resources {
-			if r.sumW == 0 {
-				continue
-			}
-			d := (r.capacity - r.load) / r.sumW
-			if d < delta {
-				delta = d
-				bottleneck = r
-			}
-		}
-		// Maximum additional fill before some flow hits its cap.
-		capDelta := math.Inf(1)
-		for _, f := range flows {
-			if !f.frozen && f.Cap > 0 {
-				if d := f.Cap - fill; d < capDelta {
-					capDelta = d
-				}
-			}
-		}
-		if math.IsInf(delta, 1) && math.IsInf(capDelta, 1) {
-			// No binding constraint: flows without usage or caps — should
-			// not happen given Start's validation, but guard anyway.
-			break
-		}
-		step := math.Min(delta, capDelta)
-		if step < 0 {
-			step = 0
-		}
-		fill += step
-		for _, r := range resources {
-			if r.sumW > 0 {
-				r.load += r.sumW * step
-			}
-		}
-		// Freeze flows that hit the binding constraint.
-		before := active
-		if capDelta <= delta {
-			for _, f := range flows {
-				if !f.frozen && f.Cap > 0 && f.Cap <= fill+1e-12 {
-					f.frozen = true
-					f.rate = f.Cap
-					active--
-				}
-			}
-		}
-		if delta <= capDelta && bottleneck != nil {
-			for _, f := range flows {
-				if !f.frozen && f.usesRes(bottleneck) {
-					f.frozen = true
-					f.rate = fill
-					active--
-				}
-			}
-		}
-		if active == before && step == 0 {
-			// Early exit: the pass froze nothing and the fill level did
-			// not move, so no unfrozen flow's bottleneck changed — every
-			// further iteration would replay this exact state until the
-			// iteration cap. Leaving now assigns the unfrozen flows the
-			// same fill level the capped loop would have produced, so the
-			// result is bit-identical, just cheaper.
-			break
-		}
-	}
-	for _, f := range flows {
-		if !f.frozen {
-			f.rate = fill
-		}
 	}
 }
 

@@ -486,13 +486,13 @@ func TestFlowsUsingIsNameSorted(t *testing.T) {
 // flow started fires at t=2, the same instant fb's own completion is due
 // (fb's event carries a later FIFO rank, so the abort settles first and
 // drives fb.remaining to exactly 0 while fb's completion event is still
-// queued). The re-balance after the abort must still report fb's rate
-// change (50 -> 100) even though fb has nothing left to send, must not
-// move fb's already-correct completion event (same time, same FIFO rank),
-// and fb must complete at t=2 after fa's OnAbort ran inline. The
-// incremental component-scoped path has to reproduce this sequence
-// bit-for-bit; it is easy to silently reorder when completion reschedules
-// are skipped.
+// queued). fa's OnAbort runs inline with the abort; fb's stale completion
+// event then fires against a dirty component and must not complete fb.
+// The instant's flush must still report fb's rate change (50 -> 100) even
+// though fb has nothing left to send, and fb must complete at t=2 right
+// after it. Both t=0 starts cost one solve, so fa's transient solo rate
+// is never observed. It is easy to silently reorder this sequence when
+// completion reschedules are skipped.
 func TestAbortRebalanceObserverOrder(t *testing.T) {
 	sim := simkernel.New()
 	n := New(sim)
@@ -518,12 +518,11 @@ func TestAbortRebalanceObserverOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"obs t=0 fa rate=100",
 		"obs t=0 fa rate=50",
 		"obs t=0 fb rate=50",
 		"obs t=2 fa rate=0",
-		"obs t=2 fb rate=100",
 		"abort t=2 fa rem=900",
+		"obs t=2 fb rate=100",
 		"obs t=2 fb rate=0",
 		"done t=2 fb",
 	}
@@ -575,7 +574,6 @@ func TestDisjointComponentObserverSilence(t *testing.T) {
 	// capacity change at t=2, a2's completion) leaves b unobserved.
 	want := []string{
 		"obs t=0 b rate=100",
-		"obs t=0 a1 rate=100",
 		"obs t=0 a1 rate=50",
 		"obs t=0 a2 rate=50",
 		"obs t=1 a1 rate=0",

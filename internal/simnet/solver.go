@@ -2,8 +2,9 @@ package simnet
 
 // Incremental waterfill.
 //
-// The reference solver (solveReference) rescans every flow and every
-// resource of the component on every pass: O(passes × (flows·uses + res)).
+// The reference solver (solveReference, kept in reference_test.go as the
+// differential tests' oracle) rescans every flow and every resource of the
+// component on every pass: O(passes × (flows·uses + res)).
 // This file implements the same progressive-filling algorithm with work
 // proportional to what can still change:
 //

@@ -13,7 +13,8 @@ import (
 // solver once, so subsequent rebalances measure the steady state.
 func steadyNet(nFlows int) (*Network, []*Resource) {
 	src := rng.New(1)
-	net := New(simkernel.New())
+	sim := simkernel.New()
+	net := New(sim)
 	resources := make([]*Resource, 12)
 	for i := range resources {
 		resources[i] = net.AddResource(fmt.Sprintf("r%d", i), 100+src.Float64()*1000)
@@ -25,16 +26,29 @@ func steadyNet(nFlows int) (*Network, []*Resource) {
 		}
 		net.Start(&Flow{Name: fmt.Sprintf("f%d", i), Volume: 1e15, Usage: usage})
 	}
+	drainInstant(sim)
 	// Two capacity swings grow every scratch buffer to its final size and
 	// exercise both reschedule directions.
-	net.SetCapacity(resources[0], 500)
-	net.SetCapacity(resources[0], 700)
+	swingCapacity(net, resources[0], 0)
+	swingCapacity(net, resources[0], 1)
 	return net, resources
 }
 
-// The solver's steady state — re-solving rates and rescheduling completions
-// after a capacity change — must not allocate: campaigns spend almost all
-// of their time here.
+// swingCapacity is one steady-state rebalance event: it moves r's
+// capacity (alternating by parity of i) and drains the instant, so the
+// flush re-solves r's component and reschedules its completions.
+func swingCapacity(net *Network, r *Resource, i int) {
+	if i&1 == 0 {
+		net.SetCapacity(r, 500)
+	} else {
+		net.SetCapacity(r, 700)
+	}
+	drainInstant(net.sim)
+}
+
+// The solver's steady state — the flush re-solving rates and rescheduling
+// completions after a capacity change — must not allocate: campaigns
+// spend almost all of their time here.
 func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 	for _, nFlows := range []int{8, 64, 256} {
 		net, resources := steadyNet(nFlows)
@@ -42,11 +56,7 @@ func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 		i := 0
 		allocs := testing.AllocsPerRun(100, func() {
 			i++
-			if i&1 == 0 {
-				net.SetCapacity(r, 500)
-			} else {
-				net.SetCapacity(r, 700)
-			}
+			swingCapacity(net, r, i)
 		})
 		if allocs != 0 {
 			t.Errorf("%d flows: %.1f allocs per steady-state rebalance, want 0", nFlows, allocs)
@@ -60,11 +70,7 @@ func benchmarkSolve(b *testing.B, nFlows int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i&1 == 0 {
-			net.SetCapacity(r, 500)
-		} else {
-			net.SetCapacity(r, 700)
-		}
+		swingCapacity(net, r, i)
 	}
 }
 
@@ -156,7 +162,8 @@ func BenchmarkSolveSingleComponentReference(b *testing.B) {
 func multiAppNet(nApps int, global bool) (*Network, []*Resource) {
 	const resPerApp, flowsPerApp = 5, 8
 	src := rng.New(7)
-	net := New(simkernel.New())
+	sim := simkernel.New()
+	net := New(sim)
 	net.forceGlobal = global
 	apps := make([][]*Resource, nApps)
 	for a := range apps {
@@ -175,9 +182,10 @@ func multiAppNet(nApps int, global bool) (*Network, []*Resource) {
 			net.Start(&Flow{Name: fmt.Sprintf("a%df%d", a, i), Volume: 1e15, Usage: usage})
 		}
 	}
+	drainInstant(sim)
 	// Warm both reschedule directions so the benchmark loop is steady state.
-	net.SetCapacity(apps[0][0], 500)
-	net.SetCapacity(apps[0][0], 700)
+	swingCapacity(net, apps[0][0], 0)
+	swingCapacity(net, apps[0][0], 1)
 	return net, apps[0]
 }
 
@@ -187,18 +195,14 @@ func benchmarkMultiComponent(b *testing.B, nApps int, global bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i&1 == 0 {
-			net.SetCapacity(r, 500)
-		} else {
-			net.SetCapacity(r, 700)
-		}
+		swingCapacity(net, r, i)
 	}
 }
 
 // BenchmarkSolveMultiComponent measures a capacity-change rebalance in a
 // network of disjoint applications: the incremental engine settles and
-// re-solves only the touched application's component, so cost stays flat
-// as unrelated applications are added.
+// re-solves only the touched application's component at the instant's
+// flush, so cost stays flat as unrelated applications are added.
 func BenchmarkSolveMultiComponent(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("%dapps", n), func(b *testing.B) { benchmarkMultiComponent(b, n, false) })
@@ -217,9 +221,9 @@ func BenchmarkSolveMultiComponentGlobal(b *testing.B) {
 
 // BenchmarkRebalanceSingleEvent measures one full event-path round trip —
 // a probe flow joining a component (union, merge bookkeeping, scoped
-// solve) and aborting out of it (lazy split marking, scoped re-solve) —
-// inside an 8-application network where 7 applications must stay
-// untouched.
+// solve at the flush) and aborting out of it (lazy split marking, scoped
+// re-solve at the next flush) — inside an 8-application network where 7
+// applications must stay untouched.
 func BenchmarkRebalanceSingleEvent(b *testing.B) {
 	net, app0 := multiAppNet(8, false)
 	probe := &Flow{
@@ -227,12 +231,16 @@ func BenchmarkRebalanceSingleEvent(b *testing.B) {
 		Volume: 1e15,
 		Usage:  map[*Resource]float64{app0[0]: 1, app0[1]: 0.5},
 	}
-	net.Start(probe)
-	net.Abort(probe)
+	roundTrip := func() {
+		net.Start(probe)
+		drainInstant(net.sim)
+		net.Abort(probe)
+		drainInstant(net.sim)
+	}
+	roundTrip()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Start(probe)
-		net.Abort(probe)
+		roundTrip()
 	}
 }

@@ -62,8 +62,7 @@ type Stats struct {
 	// WarmReplayedPasses sums the recorded passes warm starts replayed
 	// instead of recomputing.
 	WarmReplayedPasses uint64
-	// SolveBatches counts batched-mode flushes that solved at least one
-	// component (zero unless SetBatching is on).
+	// SolveBatches counts flushes that solved at least one component.
 	SolveBatches uint64
 	// ComponentsDirty sums the dirty components solved across flushes;
 	// ComponentsDirty / SolveBatches is the mean batch width.
@@ -71,7 +70,7 @@ type Stats struct {
 	// ParallelSolves counts component solves belonging to multi-component
 	// flushes — the solves eligible for the worker pool. It is defined by
 	// batch shape, not by the configured worker count, so (like every
-	// other field) it is identical at any SetBatching worker setting.
+	// other field) it is identical at any SetFlushWorkers setting.
 	ParallelSolves uint64
 	// HierSolves counts component solves served by the hierarchical path
 	// (exact or bounded-error); HierFallbacks counts solves where the
@@ -93,8 +92,8 @@ type Stats struct {
 	// 0; the value never exceeds the SetHierarchical bound. Exported as
 	// the simnet/hier_max_rel_err metric.
 	HierMaxRelErr float64
-	// FlushWaveWidth is the histogram of dirty components per batched-mode
-	// flush — the fan-out width the worker pool sees each wave.
+	// FlushWaveWidth is the histogram of dirty components per flush — the
+	// fan-out width the worker pool sees each wave.
 	FlushWaveWidth obs.Log2Hist
 	// HierGroups is the histogram of rack-local group counts per
 	// hierarchical solve; HierGroupFlows is the histogram of per-group flow
@@ -178,18 +177,18 @@ func (n *Network) ObserveResources(fn func(at simkernel.Time, r *Resource, load 
 	n.resObserver = fn
 }
 
-// BatchInfo describes one batched-mode flush to a batch observer.
+// BatchInfo describes one flush to a batch observer.
 type BatchInfo struct {
 	// Components is the number of dirty components this flush solved.
 	Components int
-	// Workers is the configured SetBatching worker count (the solve fans
-	// out only when both Components and Workers exceed one).
+	// Workers is the configured SetFlushWorkers count (the solve fans out
+	// only when both Components and Workers exceed one).
 	Workers int
 }
 
-// ObserveBatches registers a callback invoked once per batched-mode flush
-// that solved at least one component, before the solves run. Pass nil to
-// remove it. The callback must not mutate simulation state.
+// ObserveBatches registers a callback invoked once per flush that solved
+// at least one component, before the solves run. Pass nil to remove it.
+// The callback must not mutate simulation state.
 func (n *Network) ObserveBatches(fn func(at simkernel.Time, info BatchInfo)) {
 	n.batchObserver = fn
 }

@@ -262,7 +262,7 @@ func TestResetJitter(t *testing.T) {
 // and 4 concurrent targets on one host are limited by the concave
 // controller.
 func TestFlowsThroughStorage(t *testing.T) {
-	_, net, sys := newSys(t, detConfig(), 1, 4)
+	sim, net, sys := newSys(t, detConfig(), 1, 4)
 	h := sys.Hosts()[0]
 	var flows []*simnet.Flow
 	for i, tg := range h.Targets() {
@@ -280,6 +280,9 @@ func TestFlowsThroughStorage(t *testing.T) {
 	}
 	// With all 4 targets active the controller is at C(4); each flow gets
 	// an equal share C(4)/4 (< per-target peak, so the controller binds).
+	if err := sim.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
 	want := detConfig().HostCapacity(4) / 4
 	for i, f := range flows {
 		if !almost(f.Rate(), want, 1e-6) {
