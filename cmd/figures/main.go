@@ -620,7 +620,7 @@ func scale(m *memo, outDir string) error {
 	// event path; it stays so the rows match earlier versions' batched
 	// rows byte for byte.
 	t := report.NewTable(
-		"Extension: fat-tree job churn at scale — one row per topology, one solve per dirty component per instant",
+		"Extension: fat-tree job churn at scale — one row per topology, one solve per dirty component per flush wave",
 		"topology", "mode", "racks", "targets", "jobs", "bw_mean_mibs", "bw_min", "bw_max",
 		"peak_flows", "events", "solves", "solves_per_event")
 	for _, r := range rows {
@@ -635,9 +635,9 @@ func scale(m *memo, outDir string) error {
 			r.Topology, r.WallSec, r.EventsPerSec, r.StepP50us, r.StepP99us)
 	}
 	fmt.Println()
-	fmt.Println("Same-instant event batching solves each dirty component once per instant, so")
-	fmt.Println("solves_per_event stays well below one; every simulated number above is")
-	fmt.Println("bit-identical at any flush worker count.")
+	fmt.Println("Same-instant event batching solves each dirty component at most once per flush")
+	fmt.Println("wave and drains completion bursts with one solve, so solves_per_event stays well")
+	fmt.Println("below one; every simulated number above is bit-identical at any flush worker count.")
 	fmt.Println()
 	return nil
 }

@@ -223,8 +223,8 @@ type Deployment struct {
 }
 
 // Deploy instantiates the platform. Its network solves same-instant
-// events once per dirty component per instant, with a serial flush;
-// campaigns widen the flush with Net.SetFlushWorkers.
+// events at most once per dirty component per flush wave, with a serial
+// flush; campaigns widen the flush with Net.SetFlushWorkers.
 func (p Platform) Deploy() (*Deployment, error) {
 	sim := simkernel.New()
 	net := simnet.New(sim)

@@ -12,10 +12,19 @@ package simnet
 // already queued at this instant. Events that cascade from the flush
 // itself (completions it re-schedules to the same instant, OnComplete
 // handlers starting new flows) re-arm the flush, forming another wave; the
-// instant drains with each dirty component solved once per wave instead of
-// once per event. A shared client ramp starting N clients at t=0 thus
-// costs one full-component waterfill, not N, and a client's write start
-// plus the concave-capacity change it triggers cost one solve, not two.
+// instant drains with each dirty component solved at most once per wave
+// instead of once per event. A shared client ramp starting N clients at
+// t=0 thus costs one full-component waterfill, not N, and a client's
+// write start plus the concave-capacity change it triggers cost one
+// solve, not two.
+//
+// A completion burst — k flows of one component draining at the same
+// instant, as balanced allocations produce — completes one flow per wave,
+// since each completion dirties the component again. A wave that still
+// finds a drained flow and no other flow that could be due now skips the
+// solve and re-queues just the next drained flow (drainsWithoutSolve,
+// drainHead), so the burst costs one solve, on the final membership, and
+// O(k) events rather than k solves and O(k²) stale completion events.
 //
 // The flush's per-component solve is the same cold (or warm-started)
 // waterfill an event-at-a-time solver would have run on the instant's
@@ -23,9 +32,11 @@ package simnet
 // instant boundary are those of the reference solver (the batched fuzzer,
 // FuzzBatchedVsSequentialEvents, checks them against solveReference at
 // 0 ULP). What batching does not fix is mid-instant order: rate observers
-// fire once per flush rather than once per event, and completion events
-// due at the same instant fire in kernel-sequence order, which the flush's
-// rescheduling — not the order the flows were started in — determines.
+// fire once per flush rather than once per event, a drained flow gets no
+// intermediate rate report before its completion's rate 0, and completion
+// events due at the same instant fire in kernel-sequence order, which the
+// flush's rescheduling — not the order the flows were started in —
+// determines.
 //
 // With more than one flush worker (SetFlushWorkers), a flush with several
 // dirty components fans the solves over that many goroutines. Components
@@ -36,6 +47,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,16 +136,25 @@ func (n *Network) flush() {
 	// Component-id order: the deterministic merge order for everything the
 	// finish phase emits (completion events, observer callbacks, stats).
 	insertionSortByID(comps)
-	if n.stats != nil {
-		n.stats.SolveBatches++
-		n.stats.ComponentsDirty += uint64(len(comps))
-		n.stats.FlushWaveWidth.Observe(uint64(len(comps)))
-		if len(comps) > 1 {
-			n.stats.ParallelSolves += uint64(len(comps))
+	nSolve := 0
+	for _, c := range comps {
+		c.ratesStale = drainsWithoutSolve(c, now)
+		if !c.ratesStale {
+			nSolve++
 		}
 	}
-	if n.batchObserver != nil {
-		n.batchObserver(now, BatchInfo{Components: len(comps), Workers: n.flushWorkers})
+	if nSolve > 0 {
+		if n.stats != nil {
+			n.stats.SolveBatches++
+			n.stats.ComponentsDirty += uint64(nSolve)
+			n.stats.FlushWaveWidth.Observe(uint64(nSolve))
+			if nSolve > 1 {
+				n.stats.ParallelSolves += uint64(nSolve)
+			}
+		}
+		if n.batchObserver != nil {
+			n.batchObserver(now, BatchInfo{Components: nSolve, Workers: n.flushWorkers})
+		}
 	}
 	// Old rates for the rate observer must be captured before any solve
 	// runs: one flat buffer with per-component offsets.
@@ -147,16 +168,107 @@ func (n *Network) flush() {
 			n.rateOff = append(n.rateOff, len(n.oldRates))
 		}
 	}
-	if n.flushWorkers > 1 && len(comps) > 1 {
+	if n.flushWorkers > 1 && nSolve > 1 {
 		n.solveParallel(comps)
 	} else {
 		for _, c := range comps {
-			n.solveComp(&n.sv, c, true)
+			if !c.ratesStale {
+				n.solveComp(&n.sv, c, true)
+			}
 		}
 	}
 	for i, c := range comps {
-		n.finishComp(c, i, now)
+		if c.ratesStale {
+			n.drainHead(c, now)
+		} else {
+			n.finishComp(c, i, now)
+		}
 		comps[i] = nil
+	}
+}
+
+// drainsWithoutSolve reports whether c's flush solve can be skipped
+// because it cannot change which of c's flows are due at now. That holds
+// when at least one flow is drained (its settled remainder is exactly 0,
+// so it is due at now whatever rate it gets) and every other flow is
+// provably not due at now under any rate the solve could assign: its
+// event is not pending at now, and even at twice its rate bound (the
+// factor 2 absorbs the solver's last-ULP overshoot) its completion
+// instant lies after now.
+//
+// Skipping is exact. Settlement within an instant integrates over dt = 0,
+// so rates a skipped solve would have assigned never move any volume, and
+// the wave that finds no drained flow left solves the instant's final
+// membership, placing every survivor's completion exactly as a solve per
+// wave would have.
+func drainsWithoutSolve(c *component, now simkernel.Time) bool {
+	drained := false
+	for _, f := range c.flows {
+		if f.remaining == 0 {
+			drained = true
+			break
+		}
+	}
+	if !drained {
+		return false
+	}
+	for _, f := range c.flows {
+		if f.remaining == 0 {
+			continue
+		}
+		if f.event != nil && f.event.Scheduled() && f.event.When() == now {
+			return false
+		}
+		if now+simkernel.Time(f.remaining/(2*maxRate(f))) <= now {
+			return false
+		}
+	}
+	return true
+}
+
+// maxRate bounds the rate any solve can assign f: its cap, and
+// capacity/weight on every resource it uses. It is +Inf for an uncapped
+// flow without uses, which drainsWithoutSolve then treats as possibly due.
+func maxRate(f *Flow) float64 {
+	bound := math.Inf(1)
+	if f.Cap > 0 {
+		bound = f.Cap
+	}
+	for i := range f.uses {
+		bound = min(bound, f.uses[i].res.capacity/f.uses[i].w)
+	}
+	return bound
+}
+
+// drainHead is the finish phase of a component whose solve was skipped
+// (see drainsWithoutSolve). Drained flows whose completion event is still
+// pending move to now in place, keeping their kernel sequence, as the
+// solve's rescheduling would have moved them. Of the drained flows whose
+// event has fired, only the first in (Name, seq) order is re-queued: its
+// completion dirties c again, so every other one would only fire stale
+// behind it. It takes the kernel position a per-wave solve's first
+// re-queue would have, so completion callbacks keep their order. The next
+// wave repeats the check; the one that finds no drained flow solves.
+//
+// c's rates, warm-start trajectory and departure hint describe a
+// membership the burst is dismantling. The trajectory and hint are
+// dropped, and c.ratesStale (set by the flush) keeps settleRescheduleAll
+// from deriving completion instants from the rates until the next solve.
+func (n *Network) drainHead(c *component, now simkernel.Time) {
+	c.pendEvents = 0
+	c.departed.clear()
+	c.traj.valid = false
+	head := true
+	for _, f := range c.flows {
+		if f.remaining != 0 {
+			continue
+		}
+		if f.event != nil && f.event.Scheduled() {
+			n.scheduleCompletion(f, now)
+		} else if head {
+			n.scheduleCompletion(f, now)
+			head = false
+		}
 	}
 }
 
@@ -205,7 +317,9 @@ func (n *Network) solveParallel(comps []*component) {
 				// mutex serializes the shared partition scratch. Neither
 				// the worker count nor the solve order changes the
 				// hierarchical arithmetic.
-				n.solveComp(sv, comps[i], false)
+				if !comps[i].ratesStale {
+					n.solveComp(sv, comps[i], false)
+				}
 			}
 		}(w)
 	}

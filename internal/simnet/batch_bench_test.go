@@ -97,3 +97,31 @@ func benchmarkEventBatchRamp(b *testing.B) {
 func BenchmarkEventBatchRamp(b *testing.B) {
 	b.Run("batched", benchmarkEventBatchRamp)
 }
+
+// benchmarkCompletionBurst measures a same-instant completion burst: k
+// equal-volume flows on one link beside a long-running survivor, all
+// draining at the same instant. Each iteration starts the burst, drains
+// the start instant and then the burst instant. Rates and volumes are
+// exact binary fractions, so every burst flow settles to exactly zero.
+func benchmarkCompletionBurst(b *testing.B, k int) {
+	sim := simkernel.New()
+	net := New(sim)
+	link := net.AddResource("link", 16*float64(k+1))
+	net.Start(&Flow{Name: "survivor", Volume: 1e15, Usage: map[*Resource]float64{link: 1}})
+	flows := make([]Flow, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range flows {
+			flows[j] = Flow{Name: "burst", Volume: 16, Usage: map[*Resource]float64{link: 1}}
+			net.Start(&flows[j])
+		}
+		drainInstant(sim)
+		at, _ := sim.NextAt()
+		sim.RunUntil(at)
+	}
+}
+
+func BenchmarkCompletionBurst(b *testing.B) {
+	b.Run("k=64", func(b *testing.B) { benchmarkCompletionBurst(b, 64) })
+}

@@ -354,3 +354,131 @@ func TestSetFlushWorkersGuards(t *testing.T) {
 		t.Fatalf("flush workers = %d, want 2", net.flushWorkers)
 	}
 }
+
+// burstWorld puts k equal-volume flows b0..b{k-1} on one link, started in
+// reverse name order, so that all of them drain at t=1 with exact
+// arithmetic (rate 10, volume 10). setup adds the survivor flow that must
+// outlive the burst and, optionally, a second resource that b3 also
+// crosses.
+func burstWorld(k int, linkCap float64, setup func(net *Network, link *Resource) (s *Flow, coupled *Resource)) (*simkernel.Simulation, *Network, *Flow, *[]string) {
+	sim := simkernel.New()
+	net := New(sim)
+	link := net.AddResource("link", linkCap)
+	var order []string
+	s, coupled := setup(net, link)
+	net.Start(s)
+	for i := k - 1; i >= 0; i-- {
+		name := fmt.Sprintf("b%d", i)
+		f := &Flow{Name: name, Volume: 10, Usage: map[*Resource]float64{link: 1},
+			OnComplete: func(simkernel.Time) { order = append(order, name) }}
+		if i == 3 && coupled != nil {
+			f.Usage[coupled] = 1
+		}
+		net.Start(f)
+	}
+	return sim, net, s, &order
+}
+
+// TestCompletionBurstSolvesOnce pins the burst drain: k flows of one
+// component that drain at the same instant cost one completion-triggered
+// solve (a solve per wave would cost k: each completion leaves the
+// survivor behind), complete in (Name, seq) order, and dispatch O(k)
+// events at that instant rather than O(k²). The flows were started in
+// reverse name order, so the completion order is the flush's, not the
+// start order.
+func TestCompletionBurstSolvesOnce(t *testing.T) {
+	const k = 8
+	sim, net, s, order := burstWorld(k, 10*(k+1), func(net *Network, link *Resource) (*Flow, *Resource) {
+		return &Flow{Name: "s", Volume: 1000, Usage: map[*Resource]float64{link: 1}}, nil
+	})
+	var st Stats
+	net.SetStats(&st)
+	var ks simkernel.Stats
+	sim.SetStats(&ks)
+	if err := sim.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	verifyNet(t, net)
+	at, ok := sim.NextAt()
+	if !ok || at != 1 {
+		t.Fatalf("next event at %v (%v), want the burst at exactly 1", at, ok)
+	}
+	before := ks.Dispatched
+	if err := sim.RunUntil(at); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Solves[TriggerComplete]; got != 1 {
+		t.Fatalf("completion-triggered solves for a %d-flow burst = %d, want 1", k, got)
+	}
+	want := make([]string, k)
+	for i := range want {
+		want[i] = fmt.Sprintf("b%d", i)
+	}
+	if !reflect.DeepEqual(*order, want) {
+		t.Fatalf("completion order %v, want %v", *order, want)
+	}
+	// k original completion events (the first completes, the rest fire
+	// stale against the dirty component), one flush per wave and one
+	// re-queued head per skipped wave: 3k-1. A solve per wave re-queues
+	// every remaining drained flow instead, k + k + k(k-1)/2 in all.
+	if got := ks.Dispatched - before; got > 3*k {
+		t.Fatalf("%d events dispatched at the burst instant, want at most %d", got, 3*k)
+	}
+	verifyNet(t, net)
+	if s.Rate() != 10*(k+1) {
+		t.Fatalf("survivor rate %v after the burst, want the whole link", s.Rate())
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Done() || sim.Now() != 1+simkernel.Time(990.0/(10*(k+1))) {
+		t.Fatalf("survivor done=%v at %v", s.Done(), sim.Now())
+	}
+}
+
+// TestCompletionBurstSurvivorOnSecondLink adds a survivor that shares a
+// second link with one burst flow only. The skipped waves leave the
+// survivor's rate and event alone; the one solve after the burst places
+// its completion at the reference solver's instant, checked to 0 ULP by
+// verifyNet at every instant boundary.
+func TestCompletionBurstSurvivorOnSecondLink(t *testing.T) {
+	const k = 8
+	// b3 also crosses the survivor's link, coupling the survivor to the
+	// burst's component; the first link still binds b3 at rate 10.
+	sim, net, s, order := burstWorld(k, 10*k, func(net *Network, link *Resource) (*Flow, *Resource) {
+		other := net.AddResource("other", 50)
+		return &Flow{Name: "s", Volume: 100, Usage: map[*Resource]float64{other: 1}}, other
+	})
+	var st Stats
+	net.SetStats(&st)
+	runVerifiedNet(t, sim, net, 1)
+	if got := st.Solves[TriggerComplete]; got != 1 {
+		t.Fatalf("completion-triggered solves = %d, want 1", got)
+	}
+	if len(*order) != k {
+		t.Fatalf("%d burst completions by t=1, want %d", len(*order), k)
+	}
+	if s.comp == nil || len(s.comp.flows) != 1 || s.Rate() != 50 {
+		t.Fatalf("survivor rate %v after the burst, want 50 alone on its link", s.Rate())
+	}
+	runVerifiedNet(t, sim, net, simkernel.Never)
+	if !s.Done() || sim.Now() != 1+simkernel.Time(60.0/50) {
+		t.Fatalf("survivor done=%v at %v, want %v", s.Done(), sim.Now(), 1+simkernel.Time(60.0/50))
+	}
+}
+
+// runVerifiedNet runs sim one virtual instant at a time up to and
+// including until, applying verifyNet at every instant boundary.
+func runVerifiedNet(t *testing.T, sim *simkernel.Simulation, net *Network, until simkernel.Time) {
+	t.Helper()
+	for {
+		at, ok := sim.NextAt()
+		if !ok || at > until {
+			return
+		}
+		if err := sim.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		verifyNet(t, net)
+	}
+}

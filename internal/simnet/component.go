@@ -75,6 +75,10 @@ type component struct {
 	pendEvents int
 	pendTrig   SolveTrigger
 	solved     solveOutcome
+	// ratesStale marks a component whose last flush skipped its solve to
+	// drain a completion burst (see drainsWithoutSolve): its rates predate
+	// the burst until a later wave of the instant solves it.
+	ratesStale bool
 }
 
 // solveOutcome is what one flush solve reports to the stats and solve
@@ -190,6 +194,7 @@ func (c *component) reset() {
 	c.mark = false
 	c.removals = 0
 	c.dirty = false
+	c.ratesStale = false
 	c.pendEvents = 0
 	c.departed.clear()
 	c.pendTrig = 0

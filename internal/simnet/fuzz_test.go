@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/simkernel"
@@ -87,6 +89,10 @@ type fzWorld struct {
 	res     []*Resource
 	started []*Flow
 	log     []string
+	st      Stats
+	// kept counts completions that left their component non-empty: the
+	// completion-triggered solves a flush that solved every wave would run.
+	kept uint64
 }
 
 // buildWorld constructs a world running sc's script; forceGlobal keeps
@@ -97,6 +103,7 @@ func buildWorld(sc fzScenario, forceGlobal bool, flushWorkers int) *fzWorld {
 	w.net = New(w.sim)
 	w.net.forceGlobal = forceGlobal
 	w.net.SetFlushWorkers(flushWorkers)
+	w.net.SetStats(&w.st)
 	for i, c := range sc.caps {
 		w.res = append(w.res, w.net.AddResource(fmt.Sprintf("r%d", i), c))
 	}
@@ -134,6 +141,12 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 		}
 		f.OnComplete = func(at simkernel.Time) {
 			w.log = append(w.log, fmt.Sprintf("done %x %s", math.Float64bits(float64(at)), f.Name))
+			for i := range f.uses {
+				if f.uses[i].res.nActive > 0 {
+					w.kept++
+					break
+				}
+			}
 		}
 		f.OnAbort = func(at simkernel.Time) {
 			w.log = append(w.log, fmt.Sprintf("abort %x %s %x", math.Float64bits(float64(at)), f.Name, math.Float64bits(f.Remaining())))
@@ -523,6 +536,57 @@ func compareLogs(t *testing.T, a, b *fzWorld, nameA, nameB string) {
 	}
 }
 
+// burstSeedsClustered are decodeClusteredScenario inputs (after the
+// worker byte) built around same-instant completion bursts: equal-volume
+// flows sharing a resource at rates and volumes that drain them to exactly
+// zero together, so the flush drains each burst without re-solving.
+var burstSeedsClustered = [][]byte{
+	// Seven 100 MiB flows on r0 (200 MiB/s) beside a 128 MiB survivor
+	// that also crosses r1: seven completions at t=4.25, one solve.
+	{0x00, 0x00, 0x07, 0x03, 0x01, 0x01,
+		0x01, 0x00, 0x18, 0x00, 0x01, 0x01, 0x00, 0x18, 0x00, 0x01,
+		0x01, 0x00, 0x18, 0x00, 0x01, 0x01, 0x00, 0x18, 0x00, 0x01,
+		0x01, 0x00, 0x18, 0x00, 0x01, 0x01, 0x00, 0x18, 0x00, 0x01,
+		0x01, 0x00, 0x18, 0x00, 0x01, 0x01, 0x00, 0x1f, 0x02, 0x01},
+	// Two components bursting at t=1.25 in the same flush: eight flows
+	// on r0, one of which also crosses r1 with a capped survivor, and
+	// four flows on r3. A flow starts on r1 at the burst instant, and r1's
+	// capacity changes at t=2.
+	{0x01, 0x01, 0x07, 0x03, 0x07, 0x0f, 0x00,
+		0x01, 0x00, 0x18, 0x01, 0x01, 0x01, 0x00, 0x18, 0x01, 0x01,
+		0x01, 0x00, 0x18, 0x01, 0x01, 0x01, 0x00, 0x18, 0x01, 0x01,
+		0x01, 0x00, 0x18, 0x01, 0x01, 0x01, 0x00, 0x18, 0x01, 0x01,
+		0x01, 0x00, 0x18, 0x01, 0x01, 0x01, 0x00, 0x18, 0x03, 0x01,
+		0x01, 0x00, 0x1f, 0x02, 0x04,
+		0x01, 0x00, 0x18, 0x08, 0x01, 0x01, 0x00, 0x18, 0x08, 0x01,
+		0x01, 0x00, 0x18, 0x08, 0x01, 0x01, 0x00, 0x18, 0x08, 0x01,
+		0x00, 0x03, 0x00, 0x1f, 0x02, 0x01,
+		0x00, 0x02, 0x03, 0x01, 0x05},
+}
+
+// burstSeedsSpread are decodeScenario inputs with a completion burst.
+// Every op of that decoder advances time, so the burst comes from history:
+// a capped 128 MiB survivor starts at t=0.25, a 128 MiB flow at t=0.5,
+// and a 28 MiB flow at t=1.5, when the second flow has exactly 28 MiB
+// left; both then share r0 equally and drain together.
+var burstSeedsSpread = [][]byte{
+	{0x00, 0x05, 0x03, 0x01, 0x01,
+		0x00, 0x00, 0x1f, 0x00, 0x04,
+		0x00, 0x00, 0x1f, 0x00, 0x01,
+		0x00, 0x03, 0x06, 0x00, 0x01},
+}
+
+// requireBurstDrained fails unless w's run drained at least one
+// completion burst without re-solving: fewer completion-triggered solves
+// than completions that left their component non-empty. A burst seed that
+// no longer produces one would leave the drain path unchecked.
+func requireBurstDrained(t *testing.T, w *fzWorld, label string) {
+	t.Helper()
+	if got := w.st.Solves[TriggerComplete]; got >= w.kept {
+		t.Fatalf("%s: burst seed ran %d completion-triggered solves for %d completions leaving flows behind; the drain path was not exercised", label, got, w.kept)
+	}
+}
+
 // FuzzBatchedVsSequentialEvents drives same-instant event clusters
 // through the batched event path twice: with the sequential one-worker
 // flush and with a fuzzed flush worker count. At every instant boundary
@@ -537,6 +601,9 @@ func FuzzBatchedVsSequentialEvents(f *testing.F) {
 	f.Add([]byte{0x03, 0x10, 0x20, 0x30, 0x01, 0x00, 0x00, 0x04, 0x40, 0x07, 0x00, 0x02, 0x00, 0x00, 0x06, 0x81, 0x05})
 	f.Add([]byte{0x05, 0x08, 0x18, 0x28, 0x38, 0x48, 0x01, 0x00, 0x01, 0x03, 0x22, 0x33, 0x00, 0x44, 0x02, 0x05, 0x07, 0x00, 0x03, 0x06, 0x11})
 	f.Add([]byte{0xa1, 0x33, 0x07, 0x1f, 0x40, 0x00, 0x00, 0x00, 0x51, 0x2a, 0x00, 0x00, 0x62, 0x0d, 0x00, 0x00, 0x73, 0x18, 0x04, 0x00, 0x09})
+	for _, seed := range burstSeedsClustered {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -553,7 +620,16 @@ func FuzzBatchedVsSequentialEvents(f *testing.F) {
 			verifyNet(t, par.net)
 		})
 		compareLogs(t, seq, par, "1-worker", fmt.Sprintf("%d-worker", workers))
+		if isSeed(burstSeedsClustered, data) {
+			requireBurstDrained(t, seq, "1-worker")
+			requireBurstDrained(t, par, fmt.Sprintf("%d-worker", workers))
+		}
 	})
+}
+
+// isSeed reports whether data is one of seeds.
+func isSeed(seeds [][]byte, data []byte) bool {
+	return slices.ContainsFunc(seeds, func(s []byte) bool { return bytes.Equal(s, data) })
 }
 
 // FuzzIncrementalVsGlobalSolve drives random topologies through random
@@ -572,13 +648,20 @@ func FuzzIncrementalVsGlobalSolve(f *testing.F) {
 	f.Add([]byte{0x05, 0x08, 0x18, 0x28, 0x38, 0x48, 0x00, 0x01, 0x03, 0x22, 0x33, 0x44, 0x02, 0x05, 0x07, 0x03, 0x06, 0x11})
 	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0x00})
 	f.Add([]byte{0x04, 0x01, 0x02, 0x03, 0x04, 0x05, 0x01, 0x01, 0x10, 0x03, 0x01, 0x01, 0x20, 0x0c, 0x01, 0x01, 0x30, 0x30, 0x02, 0x01, 0x00})
+	for _, seed := range burstSeedsSpread {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeScenario(data)
 		if len(sc.ops) == 0 {
 			return
 		}
+		burst := isSeed(burstSeedsSpread, data)
 		inc := buildWorld(sc, false, 1)
 		runVerified(t, inc)
+		if burst {
+			requireBurstDrained(t, inc, "incremental")
+		}
 		if !sc.shared {
 			return
 		}
@@ -587,5 +670,8 @@ func FuzzIncrementalVsGlobalSolve(f *testing.F) {
 			t.Fatalf("reference run: %v", err)
 		}
 		compareLogs(t, inc, ref, "incremental", "global reference")
+		if burst {
+			requireBurstDrained(t, ref, "global reference")
+		}
 	})
 }

@@ -769,10 +769,10 @@ func (n *Network) settleRescheduleAll() {
 		n.settleComp(c, now)
 	}
 	for _, c := range n.comps {
-		if c.dirty {
-			// This component's rates are stale until the instant's flush
-			// re-solves it, and the flush reschedules every one of its
-			// flows from the fresh rates anyway.
+		if c.dirty || c.ratesStale {
+			// This component's rates are stale until a flush at this
+			// instant re-solves it, and that flush reschedules every one
+			// of its flows from the fresh rates anyway.
 			continue
 		}
 		for _, f := range c.flows {

@@ -488,11 +488,13 @@ func TestFlowsUsingIsNameSorted(t *testing.T) {
 // drives fb.remaining to exactly 0 while fb's completion event is still
 // queued). fa's OnAbort runs inline with the abort; fb's stale completion
 // event then fires against a dirty component and must not complete fb.
-// The instant's flush must still report fb's rate change (50 -> 100) even
-// though fb has nothing left to send, and fb must complete at t=2 right
-// after it. Both t=0 starts cost one solve, so fa's transient solo rate
-// is never observed. It is easy to silently reorder this sequence when
-// completion reschedules are skipped.
+// fb is drained by then, so the instant's flush skips the solve (no rate
+// it could assign moves a byte or makes fb any less due) and re-queues
+// fb's completion instead: a drained flow gets no intermediate rate
+// report, and fb's only t=2 observation is its rate 0 at completion,
+// right before OnComplete. Both t=0 starts cost one solve, so fa's
+// transient solo rate is never observed. It is easy to silently reorder
+// this sequence when completion reschedules are skipped.
 func TestAbortRebalanceObserverOrder(t *testing.T) {
 	sim := simkernel.New()
 	n := New(sim)
@@ -522,7 +524,6 @@ func TestAbortRebalanceObserverOrder(t *testing.T) {
 		"obs t=0 fb rate=50",
 		"obs t=2 fa rate=0",
 		"abort t=2 fa rem=900",
-		"obs t=2 fb rate=100",
 		"obs t=2 fb rate=0",
 		"done t=2 fb",
 	}

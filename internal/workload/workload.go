@@ -38,33 +38,61 @@ type Job struct {
 	ReadBack bool `json:"read_back,omitempty"`
 }
 
-// Validate reports job errors.
+// Bounds on trace input. Validate and ParseTrace reject anything outside
+// them with an error, so no trace can overflow the size arithmetic or
+// stall the replay.
+const (
+	// MaxTraceJobs is the most jobs one trace may hold.
+	MaxTraceJobs = 1 << 16
+	// MaxJobProcs bounds a job's process count, nodes × ppn.
+	MaxJobProcs = 1 << 16
+	// MaxJobGiB bounds the volume one job writes (1 PiB). It keeps the
+	// byte count, TotalGiB × 2^30, far inside int64.
+	MaxJobGiB = 1 << 20
+	// MaxArrival bounds a job's submission time, in seconds (about 31
+	// years). Beyond it the float64 clock's resolution would approach the
+	// simulator's shortest waits.
+	MaxArrival = 1e9
+)
+
+// Validate reports job errors: a missing id, and any value outside the
+// bounds above (NaN and infinities included).
 func (j Job) Validate() error {
 	if j.ID == "" {
 		return fmt.Errorf("workload: job without id")
 	}
-	if j.Arrival < 0 {
-		return fmt.Errorf("workload: job %s has negative arrival", j.ID)
+	if !(j.Arrival >= 0 && j.Arrival <= MaxArrival) {
+		return fmt.Errorf("workload: job %s arrival %v outside [0, %g] s", j.ID, j.Arrival, float64(MaxArrival))
 	}
 	if j.Nodes <= 0 || j.PPN <= 0 {
 		return fmt.Errorf("workload: job %s needs positive nodes and ppn", j.ID)
 	}
+	if j.Nodes > MaxJobProcs/j.PPN {
+		return fmt.Errorf("workload: job %s runs %d nodes × %d ppn, over the %d-process limit", j.ID, j.Nodes, j.PPN, MaxJobProcs)
+	}
 	if j.StripeCount < 0 {
 		return fmt.Errorf("workload: job %s has negative stripe count", j.ID)
 	}
-	if j.TotalGiB <= 0 {
+	if !(j.TotalGiB > 0) {
 		return fmt.Errorf("workload: job %s writes nothing", j.ID)
+	}
+	if j.TotalGiB > MaxJobGiB {
+		return fmt.Errorf("workload: job %s writes %v GiB, over the %d GiB limit", j.ID, j.TotalGiB, MaxJobGiB)
 	}
 	return nil
 }
 
-// ParseTrace decodes a JSON array of jobs.
+// ParseTrace decodes a JSON array of at most MaxTraceJobs jobs and
+// validates each.
 func ParseTrace(data []byte) ([]Job, error) {
 	var jobs []Job
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&jobs); err != nil {
 		return nil, fmt.Errorf("workload: bad trace: %w", err)
+	}
+	if len(jobs) > MaxTraceJobs {
+		return nil, fmt.Errorf("workload: trace has %d jobs, over the %d-job limit", len(jobs), MaxTraceJobs)
 	}
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {

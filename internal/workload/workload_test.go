@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -31,6 +32,95 @@ func TestJobValidate(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+}
+
+// TestTraceRejectsOutOfBounds checks that values no replay could honour
+// are rejected up front, by Validate and by ParseTrace, instead of
+// overflowing the size arithmetic or stalling the simulation.
+func TestTraceRejectsOutOfBounds(t *testing.T) {
+	ok := job("a", 0, 4, 8)
+	bad := map[string]Job{
+		"NaN arrival":        {ID: "x", Arrival: math.NaN(), Nodes: 4, PPN: 8, TotalGiB: 1},
+		"infinite arrival":   {ID: "x", Arrival: math.Inf(1), Nodes: 4, PPN: 8, TotalGiB: 1},
+		"arrival over bound": {ID: "x", Arrival: 2 * MaxArrival, Nodes: 4, PPN: 8, TotalGiB: 1},
+		"NaN volume":         {ID: "x", Nodes: 4, PPN: 8, TotalGiB: math.NaN()},
+		"infinite volume":    {ID: "x", Nodes: 4, PPN: 8, TotalGiB: math.Inf(1)},
+		"volume over bound":  {ID: "x", Nodes: 4, PPN: 8, TotalGiB: 2 * MaxJobGiB},
+		"procs over bound":   {ID: "x", Nodes: MaxJobProcs, PPN: 2, TotalGiB: 1},
+		"procs overflow":     {ID: "x", Nodes: math.MaxInt, PPN: math.MaxInt, TotalGiB: 1},
+	}
+	for name, j := range bad {
+		if j.Validate() == nil {
+			t.Errorf("%s: Validate accepted %+v", name, j)
+		}
+		data, err := EncodeTrace([]Job{ok, j})
+		if err != nil {
+			continue // JSON cannot carry NaN or infinities at all
+		}
+		if _, err := ParseTrace(data); err == nil {
+			t.Errorf("%s: ParseTrace accepted %s", name, data)
+		}
+	}
+	edge := []Job{
+		{ID: "arrival at bound", Arrival: MaxArrival, Nodes: 1, PPN: 1, TotalGiB: 1},
+		{ID: "procs at bound", Nodes: MaxJobProcs / 8, PPN: 8, TotalGiB: 1},
+		{ID: "volume at bound", Nodes: 1, PPN: 1, TotalGiB: MaxJobGiB},
+	}
+	for _, j := range edge {
+		if err := j.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", j.ID, err)
+		}
+	}
+	trace := func(n int) []byte {
+		entry := `{"id":"j","nodes":1,"ppn":1,"total_gib":1}`
+		return []byte("[" + strings.Repeat(entry+",", n-1) + entry + "]")
+	}
+	if _, err := ParseTrace(trace(MaxTraceJobs + 1)); err == nil {
+		t.Errorf("trace of %d jobs accepted", MaxTraceJobs+1)
+	}
+	if _, err := ParseTrace(trace(MaxTraceJobs)); err != nil {
+		t.Errorf("trace of %d jobs rejected: %v", MaxTraceJobs, err)
+	}
+}
+
+// FuzzTrace feeds arbitrary bytes through ParseTrace and replays every
+// accepted trace on a four-node PlaFRIM deployment: nothing may panic,
+// and an accepted trace whose jobs fit the pool must replay, with one
+// result per job. Traces above a small work budget are only parsed, which
+// keeps each execution short.
+func FuzzTrace(f *testing.F) {
+	f.Add([]byte(`[{"id":"a","arrival":0,"nodes":2,"ppn":4,"total_gib":1}]`))
+	f.Add([]byte(`[{"id":"a","arrival":0,"nodes":1,"ppn":2,"stripe_count":8,"total_gib":0.5,"read_back":true},` +
+		`{"id":"b","arrival":0.5,"nodes":4,"ppn":1,"stripe_count":2,"total_gib":1}]`))
+	f.Add([]byte(`[{"id":"a","arrival":1e9,"nodes":1,"ppn":1,"total_gib":1e-9}]`))
+	f.Add([]byte(`[{"id":"x","arrival":-1,"nodes":65536,"ppn":65536,"total_gib":1e300}]`))
+	f.Add([]byte(`[{"id":"a","arrival":0,"nodes":1,"ppn":1,"stripe_count":1000000000,"total_gib":1}]`))
+	p := cluster.PlaFRIM(cluster.Scenario1Ethernet)
+	const pool = 4
+	f.Fuzz(func(t *testing.T, data []byte) {
+		jobs, err := ParseTrace(data)
+		if err != nil {
+			return
+		}
+		procs, gib := 0, 0.0
+		for _, j := range jobs {
+			if j.Nodes > pool {
+				return
+			}
+			procs += j.Nodes * j.PPN
+			gib += j.TotalGiB
+		}
+		if len(jobs) > 8 || procs > 64 || gib > 4 {
+			return
+		}
+		res, err := Replay(p, pool, jobs, 1)
+		if err != nil {
+			t.Fatalf("accepted trace failed to replay: %v\n%s", err, data)
+		}
+		if len(res) != len(jobs) {
+			t.Fatalf("%d results for %d jobs", len(res), len(jobs))
+		}
+	})
 }
 
 func TestTraceRoundTrip(t *testing.T) {
