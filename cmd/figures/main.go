@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -74,6 +75,12 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 1
 	}
+	// Reject bad flags before any output file (profile or sink) exists:
+	// Close renders into the sinks on error exits, and a sink file left by
+	// an earlier run must not be overwritten by a run that never started.
+	if err := checkFlags(*fig, *reps, *workers); err != nil {
+		return fail(err)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -118,8 +125,8 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "figures: serving /metrics and /runs on http://%s\n", srv.Addr())
 	}
 	err := run(*fig, opts, *out)
-	if err == nil && pl != nil {
-		err = closeObservability(pl, *metrics, *trace)
+	if pl != nil {
+		err = closeObservability(pl, err, *metrics, *trace)
 	}
 	if srv != nil {
 		// Give external scrapers a window to collect the final state
@@ -198,10 +205,36 @@ func run(fig string, opts experiments.Options, outDir string) error {
 	return nil
 }
 
+// checkFlags rejects an unknown -fig and negative -reps or -workers; 0
+// keeps its documented meaning for both (the paper's 100 repetitions, one
+// worker per CPU).
+func checkFlags(fig string, reps, workers int) error {
+	known := fig == "all"
+	for _, f := range figures {
+		known = known || f.name == fig
+	}
+	if !known {
+		return fmt.Errorf("unknown figure %q", fig)
+	}
+	if reps < 0 {
+		return fmt.Errorf("-reps must be >= 0 (0 = the paper's 100), got %d", reps)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU), got %d", workers)
+	}
+	return nil
+}
+
 // closeObservability writes every configured sink's final state (the
 // pipeline renders the same snapshot into each) and prints the
-// stderr-side summaries the file flags imply.
-func closeObservability(pl *obs.Pipeline, metricsPath, tracePath string) error {
+// stderr-side summaries the file flags imply. After a failed run (runErr
+// non-nil) it still renders the final state, since the live renders are
+// throttled and may lag the completed repetitions, and returns runErr
+// joined with any close error.
+func closeObservability(pl *obs.Pipeline, runErr error, metricsPath, tracePath string) error {
+	if runErr != nil {
+		return errors.Join(runErr, pl.Close())
+	}
 	tracer := pl.Tracer()
 	if err := pl.Close(); err != nil {
 		return fmt.Errorf("closing metric sinks: %w", err)

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/beegfs"
+	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/ior"
 	"repro/internal/obs"
 )
 
@@ -129,5 +135,109 @@ func TestMemoMatchesSeparateRuns(t *testing.T) {
 	}
 	if allReps == 0 || allReps != ownReps {
 		t.Errorf("-fig all simulated %d repetitions, want %d (each shared campaign once)", allReps, ownReps)
+	}
+}
+
+// TestCheckFlagsRejectsBadRepsAndWorkers: negative -reps and -workers
+// and an unknown -fig are errors rather than silent fallbacks to the
+// defaults; 0 keeps its documented meaning (the paper's 100 repetitions,
+// one worker per CPU).
+func TestCheckFlagsRejectsBadRepsAndWorkers(t *testing.T) {
+	cases := []struct {
+		fig           string
+		reps, workers int
+		ok            bool
+	}{
+		{"2a", -3, 1, false},
+		{"2a", -1, 0, false},
+		{"2a", 3, -2, false},
+		{"2a", 3, -1, false},
+		{"bogus", 3, 1, false},
+		{"2a", 3, 0, true},
+		{"2a", 0, 1, true},
+		{"all", 3, 1, true},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.fig, c.reps, c.workers)
+		if (err == nil) != c.ok {
+			t.Errorf("-fig %s -reps %d -workers %d: err = %v, want ok=%v", c.fig, c.reps, c.workers, err, c.ok)
+		}
+	}
+}
+
+// TestBadFlagsLeaveSinkFilesAlone: a command line rejected before any
+// campaign starts exits non-zero and leaves an existing sink file as it
+// was, although Close renders into the sinks on other error exits.
+func TestBadFlagsLeaveSinkFilesAlone(t *testing.T) {
+	savedArgs, savedFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = savedArgs, savedFlags }()
+	path := filepath.Join(t.TempDir(), "m.json")
+	const prior = "{\"prior\": true}\n"
+	for _, args := range [][]string{
+		{"-reps", "-3"},
+		{"-workers", "-2"},
+		{"-fig", "bogus"},
+	} {
+		if err := os.WriteFile(path, []byte(prior), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flag.CommandLine = flag.NewFlagSet("figures", flag.ContinueOnError)
+		os.Args = append([]string{"figures", "-out", "", "-metrics", path}, args...)
+		if code := realMain(); code == 0 {
+			t.Errorf("%v: exit status 0, want non-zero", args)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != prior {
+			t.Errorf("%v: sink file rewritten to %q", args, data)
+		}
+	}
+}
+
+// TestFailedRunRendersFinalSinkState: a campaign failing at repetition k
+// still leaves the sink files with the state of the k repetitions that
+// completed. Live renders are throttled, so only the final render on the
+// error path guarantees that.
+func TestFailedRunRendersFinalSinkState(t *testing.T) {
+	const k = 3
+	path := filepath.Join(t.TempDir(), "m.json")
+	pl := obs.NewPipeline()
+	pl.AddSink(obs.NewJSONSink(path))
+	_, runErr := experiments.Campaign{
+		Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
+		Proto:    experiments.Protocol{Repetitions: 6, BlockSize: 6, MinWait: 0.1, MaxWait: 0.5, Seed: 3},
+		Workers:  1,
+		Pipeline: pl,
+		Inspect: func(_ *cluster.Deployment, rec *experiments.Record) error {
+			if rec.Rep == k {
+				return errors.New("injected failure")
+			}
+			return nil
+		},
+	}.Run([]experiments.Config{{
+		Label:  "x",
+		Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(2 * beegfs.GiB),
+	}})
+	if runErr == nil {
+		t.Fatal("injected failure did not fail the campaign")
+	}
+	err := closeObservability(pl, runErr, path, "")
+	if !errors.Is(err, runErr) {
+		t.Fatalf("closeObservability returned %v, want the run's error", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Counters["experiments/repetitions"]; got != k {
+		t.Fatalf("experiments/repetitions = %d, want the %d completed before the failure", got, k)
 	}
 }

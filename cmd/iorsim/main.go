@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -136,6 +137,12 @@ func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, 
 	}
 	if !write {
 		return fmt.Errorf("-w=false: nothing to do (reads need written data first; combine -w -r)")
+	}
+	if reps < 1 {
+		return fmt.Errorf("-i must be >= 1, got %d", reps)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU), got %d", workers)
 	}
 	block, err := parseSize(bStr)
 	if err != nil {
@@ -269,7 +276,9 @@ func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, 
 		return nil
 	}
 	if err := forEachRep(reps, workers, runRep); err != nil {
-		return err
+		// Live renders are throttled, so the sink files may lag the
+		// repetitions that did complete: render the final state anyway.
+		return errors.Join(err, pl.Close())
 	}
 	if pl != nil {
 		tracer := pl.Tracer()

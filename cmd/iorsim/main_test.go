@@ -81,3 +81,26 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunRejectsBadRepsAndWorkers: -i below 1 and negative -workers are
+// errors, not a panic, an empty table or a silent "one per CPU"; -workers
+// 0 keeps its documented meaning.
+func TestRunRejectsBadRepsAndWorkers(t *testing.T) {
+	cases := []struct {
+		reps, workers int
+		ok            bool
+	}{
+		{-2, 1, false},
+		{0, 1, false},
+		{1, -2, false},
+		{1, -1, false},
+		{1, 0, true},
+		{2, 1, true},
+	}
+	for _, c := range cases {
+		err := run("POSIX", "64m", "1m", 1, false, true, false, c.reps, "/t", 1, 2, 2, 4, 7, c.workers, obsConfig{}, heartbeatConfig{}, hierConfig{})
+		if (err == nil) != c.ok {
+			t.Errorf("-i %d -workers %d: err = %v, want ok=%v", c.reps, c.workers, err, c.ok)
+		}
+	}
+}

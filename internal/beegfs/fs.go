@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/rng"
@@ -724,7 +725,7 @@ func (fs *FileSystem) startIO(op *WriteOp, read bool) (*simnet.Flow, error) {
 	plan.totalLen = totalLen
 	plan.maxEnd = maxEnd
 	plan.overhead = float64(nTransfers) * fs.cfg.TransferLatency / float64(op.procs())
-	plan.baseName = fmt.Sprintf("%s/%s@%d", app, op.File.Path, regions[0].Offset)
+	plan.baseName = app + "/" + op.File.Path + "@" + strconv.FormatInt(regions[0].Offset, 10)
 	plan.startAt = fs.sim.Now()
 	if fs.stats != nil {
 		if read {
@@ -1060,7 +1061,7 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 	fs.noteClientOps(op.Client, 1)
 	name := plan.baseName
 	if op.attempts > 0 {
-		name = fmt.Sprintf("%s#r%d", plan.baseName, op.attempts)
+		name = plan.baseName + "#r" + strconv.Itoa(op.attempts)
 	}
 	flow := &a.flow
 	flow.Name = name

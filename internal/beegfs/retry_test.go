@@ -2,6 +2,7 @@ package beegfs
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -94,5 +95,54 @@ func TestRetryExhaustionMatchesStats(t *testing.T) {
 	}
 	if st.FailedOps != 1 {
 		t.Fatalf("Stats.FailedOps = %d, want 1", st.FailedOps)
+	}
+}
+
+// Flow names are part of the simulated result: simnet orders same-instant
+// completions by (Name, seq). They are built by concatenation on the
+// write path; this pins them to the format they always had,
+// "<app>/<path>@<offset>" plus "#r<attempt>" on a re-issue.
+func TestFlowNamesFirstAndRetriedAttempt(t *testing.T) {
+	cfg := testConfig()
+	cfg.RetryTimeout = 0.5
+	cfg.RetryBackoffBase = 0.5
+	cfg.RetryMax = 8
+	sim, fs := newFS(t, cfg)
+	client := fs.NewClient("n1", 0)
+	f, err := fs.CreateWithPattern("/dir/f", StripePattern{Count: 1, ChunkSize: 512 * KiB}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const app, offset = "app-7", 3 * MiB
+	tg := f.Targets[0]
+	flow, err := fs.StartWrite(&WriteOp{
+		App: app, Client: client, File: f, Offset: offset, Length: 1764 * MiB, TransferSize: MiB,
+		OnError: func(err error) { t.Error(err) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := fmt.Sprintf("%s/%s@%d", app, f.Path, int64(offset))
+	if flow.Name != first {
+		t.Fatalf("first attempt flow name = %q, want %q", flow.Name, first)
+	}
+	// Down at 0.5 s, back at 0.75 s: the first retry re-issues at 1.0 s.
+	abortTargetAt(sim, fs, tg.ID, 0.5)
+	sim.After(0.75, func() {
+		tg.SetFailed(false)
+		_ = fs.Mgmtd().SetOnline(tg.ID, true)
+	})
+	var retried []string
+	sim.After(1.1, func() {
+		for _, fl := range fs.Network().FlowsUsing(tg.Resource()) {
+			retried = append(retried, fl.Name)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s#r%d", first, 1)
+	if len(retried) != 1 || retried[0] != want {
+		t.Fatalf("retried attempt flows = %q, want [%q]", retried, want)
 	}
 }

@@ -131,8 +131,9 @@ type RunStatus struct {
 }
 
 // Sink consumes snapshots of the merged metric model. Flush may be called
-// any number of times with intermediate snapshots (live file tailing);
-// Close receives the final snapshot and must release resources. Sinks are
+// any number of times with intermediate snapshots (live file tailing, at
+// most once per liveSinkInterval of wall time — see FlushSinks); Close
+// receives the final snapshot and must release resources. Sinks are
 // called with the pipeline's sink mutex held, never concurrently.
 type Sink interface {
 	Name() string
@@ -153,7 +154,23 @@ type Pipeline struct {
 	runs   map[string]*runState
 	order  []string
 	free   []*Collector
+	// nextRender is the wall time from which FlushSinks renders again
+	// (zero until the first render, so the first call always renders).
+	nextRender time.Time
+	// now reads the wall clock; tests substitute a fake.
+	now func() time.Time
+
+	// sinkMu serialises every sink call. Renders hold it instead of mu,
+	// so collectors and RepDone never wait on a file write.
+	sinkMu sync.Mutex
 }
+
+// liveSinkInterval is the least wall time between two FlushSinks
+// renders. Live readers poll in wall time (watch, or a node-exporter
+// textfile collector scraping every 15 s or more), so rewriting the files
+// after each of thousands of sub-millisecond repetitions serves none of
+// them.
+const liveSinkInterval = time.Second
 
 // NewPipeline returns an empty pipeline with a fresh registry, no rules
 // and no sinks.
@@ -161,6 +178,7 @@ func NewPipeline() *Pipeline {
 	return &Pipeline{
 		reg:  NewRegistry(),
 		runs: make(map[string]*runState),
+		now:  time.Now,
 	}
 }
 
@@ -311,17 +329,35 @@ func (p *Pipeline) Snapshot() *Snapshot {
 	return snap
 }
 
-// FlushSinks renders the current snapshot into every sink (live file
-// tailing between repetitions; final state is written by Close).
+// FlushSinks refreshes the sinks' live view between repetitions: it
+// renders the current snapshot into every sink, but at most once per
+// liveSinkInterval of wall time and otherwise returns at once. The first
+// call of a pipeline always renders, so an unwritable sink fails the run
+// at its first repetition. The due check and the new render time are
+// taken together under mu, so concurrent workers render at most once per
+// interval; the render itself holds only the sink mutex. Intermediate
+// files show whatever repetitions had finished when they were rendered;
+// the final state is written by Close.
 func (p *Pipeline) FlushSinks() error {
 	if p == nil {
 		return nil
 	}
-	snap := p.Snapshot()
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	t := p.now()
+	sinks := p.sinks
+	due := len(sinks) > 0 && !t.Before(p.nextRender)
+	if due {
+		p.nextRender = t.Add(liveSinkInterval)
+	}
+	p.mu.Unlock()
+	if !due {
+		return nil
+	}
+	p.sinkMu.Lock()
+	defer p.sinkMu.Unlock()
+	snap := p.Snapshot()
 	var errs []error
-	for _, s := range p.sinks {
+	for _, s := range sinks {
 		if err := s.Flush(snap); err != nil {
 			errs = append(errs, err)
 		}
@@ -329,17 +365,21 @@ func (p *Pipeline) FlushSinks() error {
 	return errors.Join(errs...)
 }
 
-// Close renders the final snapshot into every sink and closes them. The
-// pipeline must not be used afterwards.
+// Close renders the final snapshot into every sink and closes them,
+// whatever FlushSinks last rendered. Call it on failed runs too: between
+// throttled renders the files may lag the completed repetitions by up to
+// liveSinkInterval. The pipeline must not be used afterwards.
 func (p *Pipeline) Close() error {
 	if p == nil {
 		return nil
 	}
-	snap := p.Snapshot()
+	p.sinkMu.Lock()
+	defer p.sinkMu.Unlock()
 	p.mu.Lock()
 	sinks := p.sinks
 	p.sinks = nil
 	p.mu.Unlock()
+	snap := p.Snapshot()
 	var errs []error
 	for _, s := range sinks {
 		if err := s.Close(snap); err != nil {
